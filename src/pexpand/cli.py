@@ -95,9 +95,9 @@ def _cmd_alpha(cfg, out, args):
     v = _io.parse_field(_io._require(cfg, "field"))
     sol = _functional.alpha(f, v)
     n = args.grid if args.grid is not None else int(cfg.get("n", 201))
-    step = 2.0 / (n - 1)
-    grid = [-1.0 + i * step for i in range(n)]
-    rows = [(x, sol.value(x)) for x in grid if abs(x) >= _maps.TOL_C]
+    grid = _functional.uniform_grid(n)
+    xs = grid[np.abs(grid) >= _maps.TOL_C]
+    rows = zip(xs.tolist(), sol.value(xs).tolist())
     _io.write_csv(Path(out) / "alpha.csv", ("x", "alpha"), rows)
     rep = _functional.check_twisted_cohomology(f, v, sol, grid=grid)
     hz = _functional.horizontality(f, v)

@@ -25,8 +25,8 @@ from .maps import (
     Itinerary,
     itinerary,
     lambda_of,
+    _on_branches,
     _pval,
-    _der,
 )
 
 INVERSE_TOL = 1e-13
@@ -49,8 +49,7 @@ def inverse_branch(f: PiecewiseMap, y: float, side: str) -> float:
         raise PreconditionError(
             f"value {y!r} outside the branch image [-1, {cv!r}]")
     y = min(max(y, -1.0), cv)
-    coeffs = f.left if side == "L" else f.right
-    dcoeffs = _der(coeffs, 1)
+    coeffs, dcoeffs = (f.left, f.dleft) if side == "L" else (f.right, f.dright)
     lo, hi = (-1.0, 0.0) if side == "L" else (0.0, 1.0)
     increasing = side == "L"
     x = 0.5 * (lo + hi)
@@ -293,8 +292,6 @@ def _periodic_roots(f: PiecewiseMap, max_period: int,
     so a point first appears at its prime period and later stages dedupe.
     """
     xs = np.linspace(-1.0, 1.0, grid_n)
-    left = np.asarray(f.left)
-    right = np.asarray(f.right)
     roots: list[tuple[float, int]] = []
 
     def add(r: float, q: int):
@@ -305,7 +302,7 @@ def _periodic_roots(f: PiecewiseMap, max_period: int,
 
     ys = xs.copy()
     for q in range(1, max_period + 1):
-        ys = np.where(ys < 0.0, _pval(left, ys), _pval(right, ys))
+        ys = _on_branches(f.left, f.right, ys)
         g = ys - xs
         for i in np.flatnonzero(np.abs(g) < 1e-13):
             add(float(xs[i]), q)

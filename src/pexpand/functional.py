@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     AmbiguousPeriodicityError,
     DegenerateDirectionError,
@@ -44,6 +46,9 @@ from .maps import (
 J_TOL = 1e-12      # default series truncation tolerance
 ALPHA_TOL = 1e-12
 SIDE_TAIL = 1e-12  # summation floor for the C+- series
+# Series depth grows like 1/(lambda_f - 1); a valid map with lambda_f = 1+1e-9
+# asks for ~5e10 orbit steps, so deeper requests are refused, not run.
+MAX_TERMS = 10**6
 
 
 def a_priori_bound(f: PiecewiseMap, v: DirectionField) -> float:
@@ -58,11 +63,19 @@ def _series_terms(f: PiecewiseMap, v: DirectionField, n: int):
     return [v.value(x) / p for x, p in zip(orb.points[:n], orb.products[:n])]
 
 
+def _within_budget(n: int) -> int:
+    if n > MAX_TERMS:
+        raise PreconditionError(
+            f"series needs {n} terms, more than MAX_TERMS={MAX_TERMS}; "
+            "lambda_f is too close to 1")
+    return n
+
+
 def _truncation_index(sup_v: float, lam: float, tol: float) -> int:
     arg = sup_v / (tol * (1.0 - 1.0 / lam))
     if arg <= 1.0:
         return 1
-    return max(1, math.ceil(math.log(arg) / math.log(lam)))
+    return _within_budget(max(1, math.ceil(math.log(arg) / math.log(lam))))
 
 
 def j_periodic_sum(f: PiecewiseMap, v: DirectionField, p: int) -> float:
@@ -172,18 +185,30 @@ class AlphaSolution:
                 return ("hits_c", i)
         return ("avoids_c", self.n_max)
 
-    def value(self, x: float, tol_c: float = TOL_C) -> float:
-        if abs(x) < tol_c:
-            return 0.0
-        total, y, prod = 0.0, x, 1.0
+    def value(self, x, tol_c: float = TOL_C):
+        """alpha at a float, or at every point of an ndarray as one orbit.
+
+        Each point accumulates v(y)/Df^i until its orbit enters the band
+        |y| < tol_c (the exact finite form: k = min{i > 0 : f^i(x) = c}) or
+        n_max terms are summed; points starting in the band get 0.
+        """
+        y = np.array(x, dtype=float, ndmin=1)
+        at_c = np.abs(y) < tol_c
+        live = np.flatnonzero(~at_c)
+        total = np.zeros_like(y)
+        prod = np.ones_like(y)
         for _ in range(self.n_max):
-            d = self.f.deriv(y, 1)
-            prod *= d
-            total += self.v.value(y) / prod
-            y = self.f.value(y)
-            if abs(y) < tol_c:
-                break  # exact finite form: k = min{i > 0 : f^i(x) = c}
-        return -total
+            if live.size == 0:
+                break
+            ys = y[live]
+            prod[live] *= self.f.deriv(ys, 1)
+            total[live] += self.v.value(ys) / prod[live]
+            ys = self.f.value(ys)
+            y[live] = ys
+            live = live[np.abs(ys) >= tol_c]
+        out = -total
+        out[at_c] = 0.0
+        return out if isinstance(x, np.ndarray) else float(out[0])
 
     __call__ = value
 
@@ -194,12 +219,20 @@ def alpha(f: PiecewiseMap, v: DirectionField, tol: float = ALPHA_TOL) -> AlphaSo
     if sup_v == 0.0:
         return AlphaSolution(f, v, tol, lam, 0.0, 0)
     n = max(1, math.ceil(math.log(sup_v / (tol * (lam - 1.0))) / math.log(lam)))
-    return AlphaSolution(f, v, tol, lam, sup_v, n)
+    return AlphaSolution(f, v, tol, lam, sup_v, _within_budget(n))
 
 
 def alpha_at(f: PiecewiseMap, v: DirectionField, x: float,
              tol: float = ALPHA_TOL) -> float:
     return alpha(f, v, tol).value(x)
+
+
+def uniform_grid(n: int) -> np.ndarray:
+    """n equally spaced points -1 + i*2/(n-1) covering I; n >= 2."""
+    if n < 2:
+        raise PreconditionError(f"a grid needs at least 2 points, got {n}")
+    step = 2.0 / (n - 1)
+    return -1.0 + np.arange(n, dtype=float) * step
 
 
 @dataclass(frozen=True)
@@ -215,23 +248,20 @@ def check_twisted_cohomology(f: PiecewiseMap, v: DirectionField,
                              tol_c: float = TOL_C) -> CohomologyReport:
     """Max residual of v(x) - alpha(f(x)) + Df(x) alpha(x) over a grid.
 
-    Grid points inside the critical band are dropped (Df is one-sided
-    there and alpha is pinned to 0 by convention).
+    The grid defaults to ``uniform_grid(n)``.  Grid points inside the
+    critical band are dropped (Df is one-sided there and alpha is pinned
+    to 0 by convention); at least one point must remain.
     """
     if sol is None:
         sol = alpha(f, v)
-    if grid is None:
-        step = 2.0 / (n - 1)
-        grid = [-1.0 + i * step for i in range(n)]
-    worst, arg, count = -1.0, 0.0, 0
-    for x in grid:
-        if abs(x) < tol_c:
-            continue
-        count += 1
-        r = abs(v.value(x) - sol.value(f.value(x)) + f.deriv(x, 1) * sol.value(x))
-        if r > worst:
-            worst, arg = r, x
-    return CohomologyReport(worst, arg, count)
+    xs = uniform_grid(n) if grid is None else np.asarray(grid, dtype=float)
+    xs = xs[np.abs(xs) >= tol_c]
+    if xs.size == 0:
+        raise PreconditionError("no grid point outside the critical band")
+    r = np.abs(v.value(xs) - sol.value(f.value(xs))
+               + f.deriv(xs, 1) * sol.value(xs))
+    i = int(np.argmax(r))
+    return CohomologyReport(float(r[i]), float(xs[i]), int(xs.size))
 
 
 # ---------------------------------------------------------------------------

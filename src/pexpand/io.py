@@ -168,7 +168,8 @@ def emit_trace(trace: DeformationTrace, out_dir) -> tuple[Path, Path]:
         "max_j_residual": max((n.j_residual for n in trace.nodes),
                               default=0.0),
         "max_relation_residual": max(
-            (n.relation_residual for n in trace.nodes), default=0.0),
+            (n.relation_residual for n in trace.nodes
+             if n.relation_residual is not None), default=None),
         "clamped_nodes": sum(n.clamped for n in trace.nodes),
         "boundary_nodes": sum(n.at_boundary for n in trace.nodes),
         "truncated": [{"side": side, "reason": reason}

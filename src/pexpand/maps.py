@@ -54,16 +54,50 @@ def _coeffs(raw) -> tuple[float, ...]:
     return out
 
 
-@lru_cache(maxsize=4096)
 def _der(coeffs: tuple[float, ...], order: int) -> tuple[float, ...]:
-    if order == 0:
-        return coeffs
-    d = P.polyder(np.asarray(coeffs), m=order)
-    return tuple(float(v) for v in d) if d.size else (0.0,)
+    """Coefficients of the order-th derivative, with numpy polyder's arithmetic."""
+    if order >= len(coeffs):
+        return (coeffs[0] * 0,)
+    for _ in range(order):
+        coeffs = tuple(j * coeffs[j] for j in range(1, len(coeffs)))
+    return coeffs
 
 
-def _pval(coeffs: tuple[float, ...], x) -> float | np.ndarray:
-    return P.polyval(x, np.asarray(coeffs))
+def _pval(coeffs: tuple[float, ...], x):
+    """Horner's rule on ascending coefficients, at a float or an ndarray.
+
+    Seed and order are numpy polyval's (acc = c[-1] + x*0, then
+    acc = c[i] + acc*x going down; Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1), so the bits agree with it, signed zeros
+    included, without its per-call array conversion.
+    """
+    acc = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * x
+    return acc
+
+
+def _onto_interval(x):
+    """x with points just outside I snapped onto its ends; float or ndarray.
+
+    A valid map may send -1 up to ENDPOINT_TOL below -1 and c up to
+    BOUNDARY_SLACK above 1 (see validate), so orbits reach those points and
+    they count as the ends of I.  Anything farther out, or NaN, is refused.
+    """
+    xs = np.asarray(x, dtype=float)
+    inside = (xs >= -1.0 - ENDPOINT_TOL) & (xs <= 1.0 + BOUNDARY_SLACK)
+    if not inside.all():
+        bad = float(xs[~inside].flat[0])
+        raise PreconditionError(f"point {bad} outside [-1, 1]")
+    xs = np.clip(xs, -1.0, 1.0)
+    return xs if isinstance(x, np.ndarray) else float(xs)
+
+
+def _on_branches(left: tuple[float, ...], right: tuple[float, ...], x):
+    """The left polynomial at x < 0, the right one elsewhere; float or ndarray."""
+    if isinstance(x, np.ndarray):
+        return np.where(x < 0.0, _pval(left, x), _pval(right, x))
+    return float(_pval(left if x < 0.0 else right, x))
 
 
 def _branch_sup(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
@@ -100,10 +134,14 @@ class PiecewiseMap:
     left: tuple[float, ...]
     right: tuple[float, ...]
     k: int = 3
+    dleft: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    dright: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "left", _coeffs(self.left))
         object.__setattr__(self, "right", _coeffs(self.right))
+        object.__setattr__(self, "dleft", _der(self.left, 1))
+        object.__setattr__(self, "dright", _der(self.right, 1))
         if self.k < 1:
             raise ValueError("smoothness order k must be >= 1")
         if self.left[0] != self.right[0]:
@@ -113,23 +151,33 @@ class PiecewiseMap:
     def critical_value(self) -> float:
         return self.left[0]
 
-    def value(self, x: float) -> float:
-        if not -1.0 <= x <= 1.0:
-            raise PreconditionError(f"point {x} outside [-1, 1]")
-        return float(_pval(self.left if x < 0.0 else self.right, x))
+    def value(self, x):
+        """f(x) at a float, or elementwise at an ndarray of points."""
+        if isinstance(x, np.ndarray) or not -1.0 <= x <= 1.0:
+            x = _onto_interval(x)
+        return _on_branches(self.left, self.right, x)
 
-    def deriv(self, x: float, order: int = 1, side: str | None = None) -> float:
-        """Branch derivative at x; at x = 0 with order >= 1 a side is required."""
+    def deriv(self, x, order: int = 1, side: str | None = None):
+        """Branch derivative at x; at x = 0 with order >= 1 a side is required.
+
+        An ndarray x is evaluated elementwise and may not contain 0.
+        """
         if order == 0:
             return self.value(x)
-        if x == 0.0:
+        if order == 1:
+            left, right = self.dleft, self.dright
+        else:
+            left, right = _der(self.left, order), _der(self.right, order)
+        if isinstance(x, np.ndarray):
+            if (x == 0.0).any():
+                raise PreconditionError(
+                    "derivative at the critical point needs a scalar x")
+        elif x == 0.0:
             if side not in ("L", "R"):
                 raise PreconditionError(
                     "derivative at the critical point needs side='L' or 'R'")
-            coeffs = self.left if side == "L" else self.right
-        else:
-            coeffs = self.left if x < 0.0 else self.right
-        return float(_pval(_der(coeffs, order), x))
+            return float(_pval(left if side == "L" else right, x))
+        return _on_branches(left, right, x)
 
     @property
     def df_minus(self) -> float:
@@ -561,8 +609,9 @@ class DirectionField:
                     f"direction field must vanish at the boundary "
                     f"(v(-1)={bl!r}, v(1)={br!r}); pass relaxed=True for observables")
 
-    def value(self, x: float) -> float:
-        return float(_pval(self.left if x < 0.0 else self.right, x))
+    def value(self, x):
+        """v(x) at a float, or elementwise at an ndarray of points."""
+        return _on_branches(self.left, self.right, x)
 
     def deriv(self, x: float, order: int = 1, side: str | None = None) -> float:
         if order == 0:

@@ -122,8 +122,41 @@ class TestAlpha:
             rhs = sol.value(f.value(x)) - f.deriv(x, 1) * sol.value(x)
             assert lhs == pytest.approx(rhs, abs=5e-12)
 
+    @pytest.mark.parametrize("f, xs", [
+        (curved_not_good(), fn.uniform_grid(41)),
+        (golden_tent().add_scaled(odd_field(), 0.05), fn.uniform_grid(101)),
+        # dyadic points: 0.5 -> 0 and 0.75 -> -0.5 -> 0 land on c exactly
+        (full_tent(), np.concatenate([fn.uniform_grid(17),
+                                      np.random.default_rng(5).uniform(-1, 1, 40)])),
+    ])
+    def test_array_orbit_matches_point_loop(self, f, xs):
+        sol = fn.alpha(f, bump_field())
+
+        def point_loop(x, tol_c=1e-10):
+            # per-point reference: the orbit sum one float at a time
+            if abs(x) < tol_c:
+                return 0.0
+            total, y, prod = 0.0, x, 1.0
+            for _ in range(sol.n_max):
+                prod *= f.deriv(y, 1)
+                total += sol.v.value(y) / prod
+                y = f.value(y)
+                if abs(y) < tol_c:
+                    break
+            return -total
+
+        got = sol.value(xs)
+        want = [point_loop(float(x)) for x in xs]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        assert [sol.value(float(x)).hex() for x in xs] == [v.hex() for v in want]
+
 
 class TestCohomology:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_grid_needs_two_points(self, n):
+        with pytest.raises(PreconditionError, match="at least 2 points"):
+            fn.check_twisted_cohomology(golden_tent(), bump_field(), n=n)
+
     def test_golden_grid_residual(self):
         rep = fn.check_twisted_cohomology(golden_tent(), bump_field())
         assert rep.max_residual < 1e-9
@@ -141,7 +174,7 @@ class TestCohomology:
 
         class Corrupted:
             def value(self, x, tol_c=1e-10):
-                return sol.value(x) + (0.1 if abs(x - x0) < 1e-12 else 0.0)
+                return sol.value(x) + np.where(abs(x - x0) < 1e-12, 0.1, 0.0)
 
         rep = fn.check_twisted_cohomology(f, v, Corrupted())
         lam = A

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pexpand import (
@@ -87,6 +88,20 @@ class TestConstruction:
     def test_eval_outside_interval(self):
         with pytest.raises(PreconditionError):
             full_tent().value(1.5)
+        with pytest.raises(PreconditionError):
+            full_tent().value(np.array([0.5, -1.0 - 2e-9]))
+
+    def test_eval_snaps_within_validation_slack(self):
+        # validates with f(-1) one ulp below -1, so the orbit of -1 leaves I
+        f = PiecewiseMap((0.5, 1.5000000000000002), (0.5, -1.5))
+        assert validate(f).passed
+        assert f.value(f.value(-1.0)) == f.value(-1.0)
+        g = full_tent()
+        assert g.value(-1.0 - 1e-9) == g.value(-1.0)
+        assert g.value(1.0 + 1e-12) == g.value(1.0)
+        assert g.value(np.array([-1.0 - 1e-9]))[0] == g.value(-1.0)
+        with pytest.raises(PreconditionError):
+            g.value(1.0 + 1e-11)
 
     def test_deriv_at_c_needs_side(self):
         f = full_tent()

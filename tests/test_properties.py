@@ -4,6 +4,7 @@ itinerary uniqueness, table monotonicity, scan determinism."""
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from pexpand import conjugacy as cj
 from pexpand import functional as fn
@@ -26,6 +27,30 @@ def combo(a: float, b: float, c: float) -> mp.DirectionField:
 
 
 fields = st.builds(combo, weights, weights, weights)
+
+coefficient = st.one_of(st.just(0.0), st.just(-0.0),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+# degrees 0..16, trailing (signed) zeros included
+branches = st.lists(coefficient, min_size=1, max_size=mp.D_MAX + 1)
+points = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+class TestKernelBits:
+    @given(branches, points, st.lists(points, min_size=1, max_size=8))
+    def test_horner_matches_polyval(self, coeffs, x, xs):
+        c = tuple(coeffs)
+        xs = np.array(xs)
+        assert _hex(mp._pval(c, x)) == _hex(P.polyval(x, np.array(c)))
+        assert _hex(mp._pval(c, xs)) == _hex(P.polyval(xs, np.array(c)))
+
+    @given(branches, st.integers(1, 3))
+    def test_derivative_matches_polyder(self, coeffs, m):
+        c = tuple(coeffs)
+        assert _hex(mp._der(c, m)) == _hex(P.polyder(np.array(c), m))
 
 
 class TestJFunctional:

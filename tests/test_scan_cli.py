@@ -264,3 +264,48 @@ class TestCli:
         assert rep["passed"] and rep["coverage"] >= 200
         lines = (tmp_path / "o" / "table.csv").read_text().splitlines()
         assert lines[0] == "x,h,depth,bound,residual"
+
+    def test_deform_without_relations_writes_summary(self, tmp_path):
+        # a non-periodic base: every node's relation residual is None
+        kp = fn.kernel_projection(mp.symmetric_tent(1.8),
+                                  mp.square_bump_field(), mp.bump_field())
+        field = {"left": list(kp.field.left), "right": list(kp.field.right)}
+        cfg = _write_cfg(tmp_path / "c.json", {
+            "family": {"base": {"slope": 1.8}, "terms": [{"field": field}]},
+            "w": "bump"})
+        assert cli.main(["deform", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        out = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert out["max_relation_residual"] is None
+
+    def test_alpha_grid_below_two_exits_1(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "c.json",
+                         {"map": "golden_tent", "field": "bump", "n": 1})
+        for extra in (["--grid", "1"], ["--grid", "0"], []):
+            assert cli.main(["alpha", "--config", cfg,
+                             "--out", str(tmp_path / "o")] + extra) == 1
+            assert "at least 2 points" in capsys.readouterr().err
+
+    def test_boundary_slack_maps_evaluate(self, tmp_path):
+        # validate admits f(c) <= 1 + 1e-12, so the orbit must be evaluable
+        cfg = _write_cfg(tmp_path / "c.json", {
+            "map": {"left": [1.0000000000005, 2.0000000000005],
+                    "right": [1.0000000000005, -2.0000000000005]},
+            "field": "bump"})
+        assert cli.main(["j", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        # the ladder's maps send -1 a few ulp below -1
+        cfg = _write_cfg(tmp_path / "d.json", {
+            "family": {"base": "full_tent",
+                       "terms": [{"field": {"left": [0, 1.25, 0, -1.25]}}]},
+            "w": "bump"})
+        assert cli.main(["cor52", "--config", cfg,
+                         "--out", str(tmp_path / "p")]) == 0
+
+    def test_term_budget_exits_1(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "c.json",
+                         {"map": {"slope": 1.0 + 1e-9}, "field": "bump"})
+        for cmd in ("j", "alpha"):
+            assert cli.main([cmd, "--config", cfg,
+                             "--out", str(tmp_path / "o")]) == 1
+            assert "MAX_TERMS" in capsys.readouterr().err
