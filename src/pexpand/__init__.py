@@ -79,7 +79,6 @@ from .scan import (
     continuation_ladder,
     run_scan,
     tangent_deformation,
-    worker_count,
 )
 
 __version__ = "0.1.0"

@@ -66,7 +66,7 @@ def _grid_from(cfg: dict, fam: _maps.MapFamily, override: int | None):
     lo = float(spec.get("lo", lo))
     hi = float(spec.get("hi", hi))
     n = override if override is not None else int(spec.get("n", 101))
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, _functional.grid_size(n))
 
 
 def _cmd_validate(cfg, out, args):

@@ -24,7 +24,9 @@ from .maps import (
     PiecewiseMap,
     Itinerary,
     itinerary,
+    iterates,
     lambda_of,
+    orbit,
     _on_branches,
     _pval,
 )
@@ -127,8 +129,7 @@ def point_from_itinerary(f: PiecewiseMap, symbols, n: int | None = None,
     lam = lambda_of(f)
     amp = 10.0 * INVERSE_TOL * lam / (lam - 1.0) + tol_c
     truncated = excess > ADMIT_TOL
-    z = x
-    for i, s in enumerate(word):
+    for i, (s, z) in enumerate(zip(word, orbit(f, x, tol_c))):
         here = "C" if abs(z) < tol_c else ("L" if z < 0.0 else "R")
         if here != s:
             if truncated or abs(z) > amp:
@@ -136,7 +137,6 @@ def point_from_itinerary(f: PiecewiseMap, symbols, n: int | None = None,
                     f"no point realizes {word!r} (orbit of best candidate "
                     f"is {here!r} at index {i})", i)
             break
-        z = f.value(0.0 if here == "C" else z)
         amp *= lam
     return RealizedPoint(x, 2.0 * lambda_of(f) ** (-n), word, n)
 
@@ -195,17 +195,6 @@ class ConjugacyTable:
             ry = point_from_itinerary(f1, w, depth)
             rows.append(TableEntry(rx.x, rx.word, ry.x,
                                    max(rx.bound, ry.bound)))
-        rows.sort(key=lambda e: e.x)
-        return cls(tuple(rows), depth, source, target)
-
-    @classmethod
-    def from_points(cls, f0: PiecewiseMap, f1: PiecewiseMap, xs,
-                    depth: int = DEPTH_DEFAULT, source: str = "f0",
-                    target: str = "f1") -> "ConjugacyTable":
-        rows = []
-        for x in xs:
-            cp = conjugate_point(f0, f1, x, depth)
-            rows.append(TableEntry(x, cp.word, cp.y, cp.bound))
         rows.sort(key=lambda e: e.x)
         return cls(tuple(rows), depth, source, target)
 
@@ -311,10 +300,7 @@ def _periodic_roots(f: PiecewiseMap, max_period: int,
             glo = float(g[i])
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                x = mid
-                for _ in range(q):
-                    x = f.value(x)
-                gm = x - mid
+                gm = iterates(f, q, mid)[q] - mid
                 if glo * gm <= 0.0:
                     hi = mid
                 else:
@@ -324,12 +310,20 @@ def _periodic_roots(f: PiecewiseMap, max_period: int,
     return roots
 
 
-def _periodic_word(f: PiecewiseMap, r: float, q: int, depth: int) -> str:
+def _periodic_points(f: PiecewiseMap, max_period: int,
+                     depth: int) -> list[tuple[float, str]]:
+    """(point, depth-word) pairs of the periodic points, one per L/R word."""
     # only the first q symbols are read off the orbit; the rest is the
     # periodic extension (forward iteration of a double root garbles
     # symbols once lambda^i swallows the last bits of precision).
-    head = itinerary(f, r, q).symbols
-    return (head * (depth // q + 1))[:depth]
+    seen: set[str] = set()
+    out = []
+    for r, q in _periodic_roots(f, max_period):
+        w = (itinerary(f, r, q).symbols * (depth // q + 1))[:depth]
+        if "C" not in w and w not in seen:
+            seen.add(w)
+            out.append((r, w))
+    return out
 
 
 def periodic_words(f: PiecewiseMap, max_period: int = 8,
@@ -341,15 +335,7 @@ def periodic_words(f: PiecewiseMap, max_period: int = 8,
     are not representable by a pure L/R word.  Each point of an orbit has
     its own itinerary, so the set is closed under shift.
     """
-    seen: set[str] = set()
-    out = []
-    for r, q in _periodic_roots(f, max_period):
-        w = _periodic_word(f, r, q, depth)
-        if "C" in w or w in seen:
-            continue
-        seen.add(w)
-        out.append(w)
-    return tuple(out)
+    return tuple(w for _, w in _periodic_points(f, max_period, depth))
 
 
 def generate_conjugacy_words(f: PiecewiseMap, min_count: int = 200,
@@ -363,14 +349,8 @@ def generate_conjugacy_words(f: PiecewiseMap, min_count: int = 200,
     Preimages landing inside the critical neighborhood are skipped (their
     words would need a C).
     """
-    seen: set[str] = set()
-    frontier: list[tuple[float, str]] = []
-    for r, q in _periodic_roots(f, max_period):
-        w = _periodic_word(f, r, q, depth)
-        if "C" in w or w in seen:
-            continue
-        seen.add(w)
-        frontier.append((r, w))
+    frontier = _periodic_points(f, max_period, depth)
+    seen = {w for _, w in frontier}
     out = [w for _, w in frontier]
     cv = f.critical_value
     level = 0

@@ -49,6 +49,7 @@ from .maps import (
     family_eval,
     family_velocity,
     is_good,
+    iterates,
     kneading,
     require_valid,
     validate,
@@ -60,13 +61,6 @@ H0 = 1e-3              # initial / maximal step
 H_MIN = 1e-8           # step underflow -> truncate trace
 NEWTON_TOL = 1e-12
 CLAMP_SLACK = 1e-12    # boundary overshoot absorbed by a b-nudge
-
-
-def _iterate(f: PiecewiseMap, n: int) -> float:
-    x = 0.0
-    for _ in range(n):
-        x = f.value(x)
-    return x
 
 
 @dataclass(frozen=True)
@@ -85,6 +79,55 @@ def _assemble(F: MapFamily, w: DirectionField, t: float, theta: float) -> Piecew
         g = g.add_scaled(w, theta)
     require_valid(g)
     return g
+
+
+def _node_at(nodes, t: float, atol: float):
+    """The node (or sample) of a result whose t is within atol of t."""
+    for n in nodes:
+        if abs(n.t - t) <= atol:
+            return n
+    raise PreconditionError(f"no node at t={t!r}")
+
+
+def _sweep(t_range: tuple[float, float], center, x0, h0: float, h_min: float,
+           advance, failures: tuple[type[Exception], ...]):
+    """(nodes, truncated) over t_range: ``center``, and each side from t = 0.
+
+    ``advance(t, x, h, t_next)`` returns the node at t_next and its state x,
+    starting from x0, or raises one of ``failures``: the step then halves,
+    and the side stops once it would fall below h_min.  Accepted steps
+    double back up to h0.
+    """
+    truncated = []
+
+    def side(t_end: float) -> list:
+        out = []
+        t, x = 0.0, x0
+        sign = 1.0 if t_end > 0.0 else -1.0
+        h = sign * h0
+        while sign * (t_end - t) > 1e-15:
+            t_next = t + h
+            if sign * t_next >= sign * t_end:
+                h, t_next = t_end - t, t_end
+            try:
+                node, x = advance(t, x, h, t_next)
+            except failures as e:
+                if abs(h) / 2.0 < h_min:
+                    truncated.append(("right" if sign > 0 else "left",
+                                      f"step underflow at node {len(out)} "
+                                      f"(t={t!r}): {e}"))
+                    break
+                h /= 2.0
+                continue
+            out.append(node)
+            t = t_next
+            h = sign * min(abs(h) * 2.0, h0)
+        return out
+
+    t_lo, t_hi = t_range
+    right = side(t_hi) if t_hi > 0.0 else []
+    left = side(t_lo) if t_lo < 0.0 else []
+    return tuple(reversed(left)) + (center,) + tuple(right), tuple(truncated)
 
 
 def slope_field(F: MapFamily, w: DirectionField, t: float, theta: float,
@@ -107,7 +150,7 @@ def slope_field(F: MapFamily, w: DirectionField, t: float, theta: float,
     manifold_res = None
     p_used = None
     if relation_period is not None:
-        manifold_res = abs(_iterate(g, relation_period))
+        manifold_res = abs(iterates(g, relation_period)[-1])
         if manifold_res < band:
             p_used = relation_period
     if p_used is None:
@@ -171,27 +214,11 @@ class DeformationTrace:
         return tuple(n.b for n in self.nodes)
 
     def node_at(self, t: float, atol: float = 1e-12) -> TraceNode:
-        for n in self.nodes:
-            if abs(n.t - t) <= atol:
-                return n
-        raise PreconditionError(f"no trace node at t={t!r}")
+        return _node_at(self.nodes, t, atol)
 
     def map_at(self, t: float) -> PiecewiseMap:
         n = self.node_at(t)
         return _assemble(self.family, self.w, n.t, n.b)
-
-
-def _relation_residual(g: PiecewiseMap,
-                       canonical: tuple[tuple[int, int], ...]) -> float | None:
-    if not canonical:
-        return None
-    depth = max(j for _, j in canonical)
-    xs = [0.0]
-    x = 0.0
-    for _ in range(depth):
-        x = g.value(x)
-        xs.append(x)
-    return max(abs(xs[i] - xs[j]) for i, j in canonical)
 
 
 def integrate_deformation(F: MapFamily, w: DirectionField,
@@ -223,6 +250,7 @@ def integrate_deformation(F: MapFamily, w: DirectionField,
             f"base map is not good (margin {good0.margin!r})")
     p_rel = good0.period
     canonical = critical_relations(f0, depth=8).canonical
+    depth = max((j for _, j in canonical), default=0)
     if tol_w is None:
         tol_w = default_tol_w(w)
     w0 = w.value(0.0)
@@ -257,53 +285,32 @@ def integrate_deformation(F: MapFamily, w: DirectionField,
         if abs(g.critical_value - 1.0) <= CLAMP_SLACK:
             at_boundary = True
         sv = d_of(t, b)
-        return TraceNode(t, b, sv.d, sv.residual,
-                         _relation_residual(g, canonical), h, err,
+        xs = iterates(g, depth)
+        rel = max((abs(xs[i] - xs[j]) for i, j in canonical), default=None)
+        return TraceNode(t, b, sv.d, sv.residual, rel, h, err,
                          clamped, at_boundary, sv.mode)
+
+    def advance(t: float, b: float, h: float, t_next: float):
+        if adaptive:
+            b_big = rk4(t, b, h)
+            b_mid = rk4(t, b, h / 2.0)
+            b_new = rk4(t + h / 2.0, b_mid, h / 2.0)
+            err = abs(b_big - b_new) / 15.0
+            if err > ode_tol:
+                raise _Reject("local error above ode_tol")
+        else:
+            b_new = rk4(t, b, h)
+            err = math.nan
+        node = make_node(t_next, b_new, h, err)
+        return node, node.b
 
     sv0 = d_of(0.0, 0.0)
     center = make_node(0.0, 0.0, 0.0, 0.0)
-    truncated = []
-
-    def sweep(t_end: float) -> list[TraceNode]:
-        out = []
-        t, b = 0.0, 0.0
-        sign = 1.0 if t_end > 0.0 else -1.0
-        h = sign * h0
-        while sign * (t_end - t) > 1e-15:
-            t_next = t + h
-            if sign * t_next >= sign * t_end:
-                h = t_end - t
-                t_next = t_end
-            try:
-                if adaptive:
-                    b_big = rk4(t, b, h)
-                    b_mid = rk4(t, b, h / 2.0)
-                    b_new = rk4(t + h / 2.0, b_mid, h / 2.0)
-                    err = abs(b_big - b_new) / 15.0
-                    if err > ode_tol:
-                        raise _Reject("local error above ode_tol")
-                else:
-                    b_new = rk4(t, b, h)
-                    err = math.nan
-                node = make_node(t_next, b_new, h, err)
-            except (_Reject, InvalidMapError, DegenerateDirectionError) as e:
-                if abs(h) / 2.0 < h_min:
-                    side = "right" if sign > 0 else "left"
-                    truncated.append((side, f"step underflow at t={t!r}: {e}"))
-                    break
-                h /= 2.0
-                continue
-            out.append(node)
-            t, b = node.t, node.b
-            h = sign * min(abs(h) * 2.0, h0)
-        return out
-
-    right = sweep(t_hi) if t_hi > 0.0 else []
-    left = sweep(t_lo) if t_lo < 0.0 else []
-    nodes = tuple(reversed(left)) + (center,) + tuple(right)
+    nodes, truncated = _sweep(
+        t_range, center, 0.0, h0, h_min, advance,
+        (_Reject, InvalidMapError, DegenerateDirectionError))
     return DeformationTrace(F, w, nodes, p_rel, canonical, sv0.d,
-                            ode_tol, tuple(truncated))
+                            ode_tol, truncated)
 
 
 class _Reject(Exception):
@@ -333,10 +340,7 @@ class TildeFamily:
         return tuple(s.t for s in self.samples)
 
     def map_at(self, t: float, atol: float = 1e-12) -> PiecewiseMap:
-        for s in self.samples:
-            if abs(s.t - t) <= atol:
-                return s.map
-        raise PreconditionError(f"no sample at t={t!r}")
+        return _node_at(self.samples, t, atol).map
 
 
 def build_tilde_family(F: MapFamily, w: DirectionField,
@@ -382,40 +386,30 @@ class ThetaRoot:
     map: PiecewiseMap
 
 
-def find_periodic_theta(F: MapFamily, w: DirectionField, p: int,
-                        theta0: float = 0.0, t: float = 0.0,
-                        newton_tol: float = NEWTON_TOL, max_iter: int = 50,
-                        period_tol: float = PERIOD_TOL) -> ThetaRoot:
-    """Newton root of theta -> f_{(t,theta)}^p(c) - c.
+def _newton(F: MapFamily, w: DirectionField, p: int, t: float, theta: float,
+            newton_tol: float, max_iter: int):
+    """Newton root of theta -> f_{(t,theta)}^p(c) - c: theta, its map g, the
+    orbit c..g^p(c), and the iterations used.
 
     The derivative is the exact chain-rule value Df^{p-1}(f(c)) * J_p(g, w);
     trial points that assemble to invalid maps are damped back toward the
-    current iterate.  The converged root must have prime period p.
+    current iterate.
     """
-    if p < 2:
-        raise PreconditionError("period must be >= 2")
-    theta = theta0
     g = _assemble(F, w, t, theta)
     for it in range(1, max_iter + 1):
-        res = _iterate(g, p)
-        if abs(res) < newton_tol:
-            for q in range(1, p):
-                rq = abs(_iterate(g, q))
-                if rq < period_tol:
-                    raise PreconditionError(
-                        f"root at theta={theta!r} has prime period {q} < {p}")
-                if rq < 10.0 * period_tol:
-                    raise AmbiguousPeriodicityError(
-                        f"prime-period check ambiguous at q={q}", ((q, rq),))
-            margin = is_good(g, tol=period_tol).margin
-            return ThetaRoot(theta, abs(res), it, p, margin, g)
+        xs = iterates(g, p)
+        if abs(xs[p]) < newton_tol:
+            return theta, g, xs, it
         orb = critical_orbit(g, p, tol_c=0.0)
+        if len(orb.products) < p:
+            raise NewtonDivergenceError(
+                f"critical orbit returns to c at step {orb.truncated_at} < {p}")
         dG = orb.products[p - 1] * j_periodic_sum(g, w, p)
         if abs(dG) < 1e-14:
             raise NewtonDivergenceError(
                 f"degenerate derivative {dG!r} at theta={theta!r}")
-        step = -res / dG
-        for damp in range(9):
+        step = -xs[p] / dG
+        for _ in range(9):
             try:
                 g_new = _assemble(F, w, t, theta + step)
                 break
@@ -426,8 +420,31 @@ def find_periodic_theta(F: MapFamily, w: DirectionField, p: int,
                 f"no valid map along the Newton direction from theta={theta!r}")
         theta += step
         g = g_new
-    raise NewtonDivergenceError(
-        f"no convergence after {max_iter} iterations (residual {res!r})")
+    raise NewtonDivergenceError(f"no convergence after {max_iter} iterations "
+                                f"at t={t!r} (residual {xs[p]!r})")
+
+
+def find_periodic_theta(F: MapFamily, w: DirectionField, p: int,
+                        theta0: float = 0.0, t: float = 0.0,
+                        newton_tol: float = NEWTON_TOL, max_iter: int = 50,
+                        period_tol: float = PERIOD_TOL) -> ThetaRoot:
+    """Newton root of theta -> f_{(t,theta)}^p(c) - c (see ``_newton``).
+
+    The converged root must have prime period p.
+    """
+    if p < 2:
+        raise PreconditionError("period must be >= 2")
+    theta, g, xs, it = _newton(F, w, p, t, theta0, newton_tol, max_iter)
+    for q in range(1, p):
+        rq = abs(xs[q])
+        if rq < period_tol:
+            raise PreconditionError(
+                f"root at theta={theta!r} has prime period {q} < {p}")
+        if rq < 10.0 * period_tol:
+            raise AmbiguousPeriodicityError(
+                f"prime-period check ambiguous at q={q}", ((q, rq),))
+    margin = is_good(g, tol=period_tol).margin
+    return ThetaRoot(theta, abs(xs[p]), it, p, margin, g)
 
 
 @dataclass(frozen=True)
@@ -452,15 +469,8 @@ class PeriodicContinuation:
     def ts(self) -> tuple[float, ...]:
         return tuple(n.t for n in self.nodes)
 
-    @property
-    def thetas(self) -> tuple[float, ...]:
-        return tuple(n.theta for n in self.nodes)
-
     def node_at(self, t: float, atol: float = 1e-12) -> ContinuationNode:
-        for n in self.nodes:
-            if abs(n.t - t) <= atol:
-                return n
-        raise PreconditionError(f"no continuation node at t={t!r}")
+        return _node_at(self.nodes, t, atol)
 
     def map_at(self, t: float) -> PiecewiseMap:
         n = self.node_at(t)
@@ -501,67 +511,33 @@ def continue_periodic(F: MapFamily, w: DirectionField, p: int, theta0: float,
     t_lo, t_hi = t_range
     if not t_lo <= 0.0 <= t_hi:
         raise PreconditionError("t_range must contain t = 0")
-    truncated = []
 
-    def slope_at(g: PiecewiseMap, t: float) -> float:
-        jw = j_periodic_sum(g, w, p)
-        if abs(jw) <= default_tol_w(w):
-            raise DegenerateDirectionError(f"J_p(g, w) degenerate at t={t!r}")
-        return -j_periodic_sum(g, family_velocity(F, t), p) / jw
+    def slope_at(t: float, theta: float) -> float:
+        return slope_field(F, w, t, theta, relation_period=p,
+                           band=math.inf).d
 
-    def correct(t: float, guess: float) -> tuple[float, float, int]:
-        theta = guess
-        for it in range(1, max_newton + 1):
-            g = _assemble(F, w, t, theta)
-            res = _iterate(g, p)
-            if abs(res) < newton_tol:
-                return theta, abs(res), it
-            orb = critical_orbit(g, p, tol_c=0.0)
-            dG = orb.products[p - 1] * j_periodic_sum(g, w, p)
-            theta -= res / dG
-        raise NewtonDivergenceError(f"corrector stalled at t={t!r}")
+    def advance(t: float, prev: ContinuationNode, h: float, t_next: float):
+        guess = prev.theta + h * prev.slope
+        theta, _, xs, iters = _newton(F, w, p, t_next, guess, newton_tol,
+                                      max_newton)
+        for q in range(1, p):
+            if abs(xs[q]) < 10.0 * period_tol:
+                raise PreconditionError(f"prime period changed to <= {q}")
+        node = ContinuationNode(t_next, theta, slope_at(t_next, theta),
+                                abs(xs[p]), iters)
+        return node, node
 
-    g0 = _assemble(F, w, 0.0, theta0)
-    res0 = abs(_iterate(g0, p))
+    res0 = abs(iterates(_assemble(F, w, 0.0, theta0), p)[p])
     if res0 > 10.0 * newton_tol:
-        theta0, res0, _ = correct(0.0, theta0)
-        g0 = _assemble(F, w, 0.0, theta0)
-    center = ContinuationNode(0.0, theta0, slope_at(g0, 0.0), res0, 0)
-
-    def sweep(t_end: float) -> list[ContinuationNode]:
-        out = []
-        t, theta = 0.0, theta0
-        sign = 1.0 if t_end > 0.0 else -1.0
-        step = sign * h
-        side = "right" if sign > 0 else "left"
-        while sign * (t_end - t) > 1e-15:
-            t_new = t + step
-            if sign * t_new >= sign * t_end:
-                step = t_end - t
-                t_new = t_end
-            g = _assemble(F, w, t, theta)
-            try:
-                guess = theta + step * slope_at(g, t)
-                theta_new, res, iters = correct(t_new, guess)
-                g_new = _assemble(F, w, t_new, theta_new)
-                for q in range(1, p):
-                    if abs(_iterate(g_new, q)) < 10.0 * period_tol:
-                        raise PreconditionError(
-                            f"prime period changed to <= {q}")
-            except (PreconditionError, NewtonDivergenceError,
-                    InvalidMapError, DegenerateDirectionError) as e:
-                truncated.append(
-                    (side, f"aborted at node {len(out)} (t={t_new!r}): {e}"))
-                break
-            out.append(ContinuationNode(t_new, theta_new,
-                                        slope_at(g_new, t_new), res, iters))
-            t, theta = t_new, theta_new
-        return out
-
-    right = sweep(t_hi) if t_hi > 0.0 else []
-    left = sweep(t_lo) if t_lo < 0.0 else []
-    nodes = tuple(reversed(left)) + (center,) + tuple(right)
-    return PeriodicContinuation(p, theta0, F, w, nodes, tuple(truncated))
+        theta0, _, xs, _ = _newton(F, w, p, 0.0, theta0, newton_tol,
+                                   max_newton)
+        res0 = abs(xs[p])
+    center = ContinuationNode(0.0, theta0, slope_at(0.0, theta0), res0, 0)
+    # the corrector keeps the step h: any failed node ends its side
+    nodes, truncated = _sweep(
+        t_range, center, center, h, h, advance,
+        (PreconditionError, NewtonDivergenceError))
+    return PeriodicContinuation(p, theta0, F, w, nodes, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -595,5 +571,5 @@ def transversal_derivative(F: MapFamily, p: int, t0: float = 0.0,
     chain = orb.products[p - 1] * j_periodic_sum(f, family_velocity(F, t0), p)
     g_hi = family_eval(F, t0 + fd_h, check=False)
     g_lo = family_eval(F, t0 - fd_h, check=False)
-    fd = (_iterate(g_hi, p) - _iterate(g_lo, p)) / (2.0 * fd_h)
+    fd = (iterates(g_hi, p)[p] - iterates(g_lo, p)[p]) / (2.0 * fd_h)
     return TransversalReport(chain, fd, abs(chain - fd), p)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .maps import (
     family_eval,
     family_velocity,
     is_good,
+    orbit,
     require_valid,
 )
 
@@ -57,12 +59,6 @@ def a_priori_bound(f: PiecewiseMap, v: DirectionField) -> float:
     return v.sup_norm() / (1.0 - 1.0 / lam)
 
 
-def _series_terms(f: PiecewiseMap, v: DirectionField, n: int):
-    """Partial-sum terms v(x_i)/P_i of the defining series, raw orbit."""
-    orb = critical_orbit(f, n, tol_c=0.0)  # tol_c=0: never snap, never truncate
-    return [v.value(x) / p for x, p in zip(orb.points[:n], orb.products[:n])]
-
-
 def _within_budget(n: int) -> int:
     if n > MAX_TERMS:
         raise PreconditionError(
@@ -71,30 +67,48 @@ def _within_budget(n: int) -> int:
     return n
 
 
-def _truncation_index(sup_v: float, lam: float, tol: float) -> int:
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise PreconditionError(f"tolerance must be finite and > 0, got {tol!r}")
+
+
+def _series_depth(f: PiecewiseMap, v: DirectionField,
+                  tol: float) -> tuple[int, float]:
+    """Depth n that truncates J's series within tol (0 if v = 0), and the
+    certified geometric bound on the tail past it."""
+    _check_tol(tol)
+    lam = require_valid(f).lambda_f
+    sup_v = v.sup_norm()
+    if sup_v == 0.0:
+        return 0, 0.0
     arg = sup_v / (tol * (1.0 - 1.0 / lam))
-    if arg <= 1.0:
-        return 1
-    return _within_budget(max(1, math.ceil(math.log(arg) / math.log(lam))))
+    n = 1 if arg <= 1.0 else _within_budget(
+        max(1, math.ceil(math.log(arg) / math.log(lam))))
+    return n, sup_v * lam ** (-n) / (1.0 - 1.0 / lam)
+
+
+def _series(f: PiecewiseMap, v: DirectionField, n: int,
+            tail: float) -> tuple[float, float, int]:
+    """(sum, tail, k): the first k = n terms v(x_i)/P_i on the raw orbit, or
+    k < n when x_k lands exactly on c, which ends the sum exactly (tail 0)."""
+    if n == 0:
+        return 0.0, 0.0, 0
+    orb = critical_orbit(f, n, tol_c=0.0)  # tol_c=0: never snap
+    terms = [v.value(x) / p for x, p in zip(orb.points[:n], orb.products[:n])]
+    return math.fsum(terms), tail if len(terms) == n else 0.0, len(terms)
 
 
 def j_periodic_sum(f: PiecewiseMap, v: DirectionField, p: int) -> float:
     """Finite p-term value of J, the exact form when c has period p."""
     if p < 1:
         raise PreconditionError("period must be >= 1")
-    return math.fsum(_series_terms(f, v, p))
+    return _series(f, v, p, 0.0)[0]
 
 
 def j_series_sum(f: PiecewiseMap, v: DirectionField,
                  tol: float = J_TOL) -> tuple[float, float, int]:
     """Truncated series value with certified geometric tail bound."""
-    lam = require_valid(f).lambda_f
-    sup_v = v.sup_norm()
-    if sup_v == 0.0:
-        return 0.0, 0.0, 0
-    n = _truncation_index(sup_v, lam, tol)
-    tail = sup_v * lam ** (-n) / (1.0 - 1.0 / lam)
-    return math.fsum(_series_terms(f, v, n)), tail, n
+    return _series(f, v, *_series_depth(f, v, tol))
 
 
 @dataclass(frozen=True)
@@ -131,17 +145,14 @@ def j_functional(f: PiecewiseMap, v: DirectionField, tol: float = J_TOL,
     c inside the summation window is always detected rather than summed
     across.
     """
-    lam = require_valid(f).lambda_f
-    sup_v = v.sup_norm()
-    if sup_v == 0.0:
+    n, tail = _series_depth(f, v, tol)
+    if n == 0:
         return JResult(0.0, "series", 0, 0.0)
-    n = _truncation_index(sup_v, lam, tol)
     det = detect_periodic_critical(f, p_max=max(p_max, n), tol=period_tol)
     if det.clean and det.period is not None:
         return JResult(j_periodic_sum(f, v, det.period), "periodic",
                        det.period, 0.0, det.period)
-    series = math.fsum(_series_terms(f, v, n))
-    tail = sup_v * lam ** (-n) / (1.0 - 1.0 / lam)
+    series, tail, n = _series(f, v, n, tail)
     if det.clean:
         return JResult(series, "series", n, tail)
     q = min(q for q, _ in det.ambiguous)
@@ -178,9 +189,8 @@ class AlphaSolution:
     def classify(self, x: float, tol_c: float = TOL_C) -> tuple[str, int]:
         if abs(x) < tol_c:
             return ("at_c", 0)
-        y = x
-        for i in range(1, self.n_max + 1):
-            y = self.f.value(y)
+        ys = islice(orbit(self.f, x, tol_c), 1, self.n_max + 1)
+        for i, y in enumerate(ys, 1):
             if abs(y) < tol_c:
                 return ("hits_c", i)
         return ("avoids_c", self.n_max)
@@ -190,8 +200,19 @@ class AlphaSolution:
 
         Each point accumulates v(y)/Df^i until its orbit enters the band
         |y| < tol_c (the exact finite form: k = min{i > 0 : f^i(x) = c}) or
-        n_max terms are summed; points starting in the band get 0.
+        n_max terms are summed; points starting in the band get 0.  A float
+        takes the scalar orbit, in the array path's arithmetic and order.
         """
+        if not isinstance(x, np.ndarray):
+            if abs(x) < tol_c:
+                return 0.0
+            total, prod = 0.0, 1.0
+            for y in islice(orbit(self.f, x, tol_c), self.n_max):
+                if abs(y) < tol_c:
+                    break
+                prod *= self.f.deriv(y, 1)
+                total += self.v.value(y) / prod
+            return -total
         y = np.array(x, dtype=float, ndmin=1)
         at_c = np.abs(y) < tol_c
         live = np.flatnonzero(~at_c)
@@ -208,12 +229,13 @@ class AlphaSolution:
             live = live[np.abs(ys) >= tol_c]
         out = -total
         out[at_c] = 0.0
-        return out if isinstance(x, np.ndarray) else float(out[0])
+        return out
 
     __call__ = value
 
 
 def alpha(f: PiecewiseMap, v: DirectionField, tol: float = ALPHA_TOL) -> AlphaSolution:
+    _check_tol(tol)
     lam = require_valid(f).lambda_f
     sup_v = v.sup_norm()
     if sup_v == 0.0:
@@ -227,11 +249,16 @@ def alpha_at(f: PiecewiseMap, v: DirectionField, x: float,
     return alpha(f, v, tol).value(x)
 
 
-def uniform_grid(n: int) -> np.ndarray:
-    """n equally spaced points -1 + i*2/(n-1) covering I; n >= 2."""
+def grid_size(n: int) -> int:
+    """n, refused unless a grid of n nodes can reach both of its ends."""
     if n < 2:
         raise PreconditionError(f"a grid needs at least 2 points, got {n}")
-    step = 2.0 / (n - 1)
+    return n
+
+
+def uniform_grid(n: int) -> np.ndarray:
+    """n equally spaced points -1 + i*2/(n-1) covering I; n >= 2."""
+    step = 2.0 / (grid_size(n) - 1)
     return -1.0 + np.arange(n, dtype=float) * step
 
 
@@ -325,17 +352,10 @@ def param_phase_consistency(F: MapFamily, t0: float, k: int,
         raise PreconditionError("depth k must be >= 1")
     f = family_eval(F, t0)
     v = observable if observable is not None else family_velocity(F, t0)
-    det = detect_periodic_critical(f, p_max=max(64, k))
-    periodic_route = det.clean and det.period == k
     orb = critical_orbit(f, k, tol_c=tol_c)
-    if not periodic_route:
-        for idx in range(1, k):
-            if abs(orb.points[idx]) < tol_c:
-                raise PreconditionError(
-                    f"critical orbit returns to c at step {idx} < k={k}")
     if len(orb.products) < k:
         raise PreconditionError(
-            f"orbit truncated at {orb.truncated_at}, need {k} product terms")
+            f"critical orbit returns to c at step {orb.truncated_at} < k={k}")
     p_top = orb.products[k - 1]
     deriv_t = math.fsum((p_top / orb.products[i]) * v.value(orb.points[i])
                         for i in range(k))

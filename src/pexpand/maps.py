@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -154,8 +155,8 @@ class PiecewiseMap:
     def value(self, x):
         """f(x) at a float, or elementwise at an ndarray of points."""
         if isinstance(x, np.ndarray) or not -1.0 <= x <= 1.0:
-            x = _onto_interval(x)
-        return _on_branches(self.left, self.right, x)
+            return _on_branches(self.left, self.right, _onto_interval(x))
+        return float(_pval(self.left if x < 0.0 else self.right, x))
 
     def deriv(self, x, order: int = 1, side: str | None = None):
         """Branch derivative at x; at x = 0 with order >= 1 a side is required.
@@ -308,6 +309,20 @@ def lambda_of(f: PiecewiseMap) -> float:
 # orbits and symbols
 
 
+def orbit(f: PiecewiseMap, x: float, tol_c: float = TOL_C):
+    """Yield x, f(x), f^2(x), ...; after a point in the band |y| < tol_c the
+    orbit continues from c exactly.  tol_c = 0 gives the raw float orbit."""
+    value = f.value
+    while True:
+        yield x
+        x = value(0.0 if abs(x) < tol_c else x)
+
+
+def iterates(f: PiecewiseMap, n: int, x: float = 0.0) -> list[float]:
+    """x, f(x), ..., f^n(x) on the raw float orbit (c's by default)."""
+    return list(islice(orbit(f, x, 0.0), n + 1))
+
+
 @dataclass(frozen=True)
 class CriticalOrbit:
     """Forward orbit of c with cumulative derivative products.
@@ -315,9 +330,10 @@ class CriticalOrbit:
     ``points[i]`` is f^i(c).  ``products[i]`` is Df^i(f(c)), the product of
     Df along points 1..i, so products[0] = 1 and the i-th series term of
     the horizontality functional is v(points[i]) / products[i].  When the
-    orbit re-enters the critical band at step t, products stop at length t
-    (a one-sided derivative at c is never assigned) and ``truncated_at``
-    records t; later points follow the snapped orbit.
+    orbit re-enters the critical band at step t, or lands on c exactly
+    (with tol_c = 0 too), products stop at length t (a one-sided derivative
+    at c is never assigned) and ``truncated_at`` records t; later points
+    follow the snapped orbit.
     """
 
     points: tuple[float, ...]
@@ -331,20 +347,15 @@ class CriticalOrbit:
 def critical_orbit(f: PiecewiseMap, n: int, tol_c: float = TOL_C) -> CriticalOrbit:
     if n < 1:
         raise PreconditionError("orbit depth must be >= 1")
-    points = [0.0]
+    points = tuple(islice(orbit(f, 0.0, tol_c), n + 1))
     products, logs, signs = [1.0], [0.0], [1]
     truncated = None
-    x = 0.0
     prod, log_sum, log_comp, sign = 1.0, 0.0, 0.0, 1
-    for i in range(1, n + 1):
-        x = f.value(x)
-        points.append(x)
-        if abs(x) < tol_c:
-            if truncated is None:
-                truncated = i
-            x = 0.0  # snap: continue along the exact critical orbit
-            continue
-        if truncated is None and i < n:
+    for i, x in enumerate(points[1:], 1):
+        if abs(x) < tol_c or x == 0.0:
+            truncated = i
+            break
+        if i < n:
             d = f.deriv(x, 1)
             if d == 0.0:
                 raise PreconditionError(
@@ -362,7 +373,7 @@ def critical_orbit(f: PiecewiseMap, n: int, tol_c: float = TOL_C) -> CriticalOrb
             products.append(prod)
             logs.append(log_sum)
             signs.append(sign)
-    return CriticalOrbit(tuple(points), tuple(products), tuple(logs),
+    return CriticalOrbit(points, tuple(products), tuple(logs),
                          tuple(signs), truncated, tol_c)
 
 
@@ -376,9 +387,6 @@ class Itinerary:
         if set(self.symbols) - set("LCR"):
             raise ValueError("itinerary symbols must be L, C or R")
 
-    def prefix(self, n: int) -> str:
-        return self.symbols[:n]
-
 
 def itinerary(f: PiecewiseMap, x: float, n: int, tol_c: float = TOL_C) -> Itinerary:
     """L/C/R symbols of the length-n orbit of x.
@@ -388,15 +396,9 @@ def itinerary(f: PiecewiseMap, x: float, n: int, tol_c: float = TOL_C) -> Itiner
     """
     if n < 1:
         raise PreconditionError("itinerary depth must be >= 1")
-    out = []
-    for _ in range(n):
-        if abs(x) < tol_c:
-            out.append("C")
-            x = 0.0
-        else:
-            out.append("L" if x < 0.0 else "R")
-        x = f.value(x)
-    return Itinerary("".join(out), n, tol_c)
+    symbols = ("C" if abs(y) < tol_c else "L" if y < 0.0 else "R"
+               for y in islice(orbit(f, x, tol_c), n))
+    return Itinerary("".join(symbols), n, tol_c)
 
 
 def kneading(f: PiecewiseMap, n: int, tol_c: float = TOL_C) -> Itinerary:
@@ -432,9 +434,7 @@ def detect_periodic_critical(f: PiecewiseMap, p_max: int = 64,
     if p_max < 2:
         raise PreconditionError("p_max must be >= 2")
     band = []
-    x = 0.0
-    for q in range(1, p_max + 1):
-        x = f.value(x)
+    for q, x in enumerate(islice(orbit(f, 0.0, 0.0), 1, p_max + 1), 1):
         r = abs(x)
         if r < tol:
             return PeriodDetection(q, r, tuple(band), p_max, tol)
@@ -478,11 +478,7 @@ def critical_relations(f: PiecewiseMap, depth: int = 8,
     """
     if depth < 2:
         raise PreconditionError("relation depth must be >= 2")
-    xs = [0.0]
-    x = 0.0
-    for _ in range(depth):
-        x = f.value(x)
-        xs.append(x)
+    xs = iterates(f, depth)
     hits, band = [], []
     for i in range(depth):
         for j in range(i + 1, depth + 1):
@@ -612,14 +608,6 @@ class DirectionField:
     def value(self, x):
         """v(x) at a float, or elementwise at an ndarray of points."""
         return _on_branches(self.left, self.right, x)
-
-    def deriv(self, x: float, order: int = 1, side: str | None = None) -> float:
-        if order == 0:
-            return self.value(x)
-        if x == 0.0 and side is None:
-            side = "R"  # norms only need one-sided values here
-        coeffs = self.left if (x < 0.0 or (x == 0.0 and side == "L")) else self.right
-        return float(_pval(_der(coeffs, order), x))
 
     def sup_norm(self) -> float:
         """Exact sup |v| over I via branch stationary points."""

@@ -1,8 +1,6 @@
 """Parameter sweeps with transition localization, and the workflows that
 orchestrate the deformation machinery into shippable experiments."""
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +10,7 @@ from .deform import (DeformationTrace, PeriodicContinuation,
                      integrate_deformation)
 from .errors import (InternalConsistencyError, NewtonDivergenceError,
                      PreconditionError)
-from .functional import J_TOL, default_tol_w, j_functional
+from .functional import J_TOL, default_tol_w, grid_size, j_functional
 from .maps import (PERIOD_TOL, DirectionField, FamilyTerm, MapFamily,
                    PiecewiseMap, aux_dictionary, critical_relations,
                    detect_periodic_critical, family_eval, family_velocity,
@@ -25,22 +23,6 @@ TRANSITION_WIDTH = 1e-8
 NORM_GRID = 2048
 
 
-def worker_count(n_tasks: int) -> int:
-    """Thread budget for node evaluation; PEXPAND_THREADS caps it."""
-    raw = os.environ.get("PEXPAND_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise PreconditionError(
-                f"PEXPAND_THREADS={raw!r} is not an integer") from None
-        if cap < 1:
-            raise PreconditionError("PEXPAND_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
 # ---------------------------------------------------------------------------
 # scan sources: polynomial families evaluate anywhere, sampled families
 # only at their stored nodes
@@ -51,10 +33,10 @@ class _FamilySource:
 
     def __init__(self, fam: MapFamily):
         self.domain = fam.domain
-        self._fam = fam
+        self.family = fam
 
     def at(self, t: float):
-        return family_eval(self._fam, t), family_velocity(self._fam, t)
+        return family_eval(self.family, t), family_velocity(self.family, t)
 
 
 class _SampledSource:
@@ -151,8 +133,8 @@ def _node(src, t: float, kneading_depth: int, relation_depth: int,
 
 def _signature(src, t: float, kneading_depth: int, relation_depth: int,
                period_tol: float):
-    try:
-        f, _ = src.at(t)
+    try:  # only polynomial families are bisected; the velocity is not needed
+        f = family_eval(src.family, t)
         return (kneading(f, kneading_depth).symbols,
                 critical_relations(f, relation_depth, tol=period_tol)
                 .relations)
@@ -193,15 +175,8 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
     if not grid:
         return ScanResult((), (), None, j_zero_tol, True)
 
-    workers = worker_count(len(grid))
-    if workers == 1:
-        records = [_node(src, t, kneading_depth, relation_depth,
-                         period_tol, j_tol) for t in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                lambda t: _node(src, t, kneading_depth, relation_depth,
-                                period_tol, j_tol), grid))
+    records = [_node(src, t, kneading_depth, relation_depth, period_tol,
+                     j_tol) for t in grid]
 
     transitions = []
     for a, b in zip(records, records[1:]):
@@ -358,6 +333,7 @@ def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
     lo, hi = F.domain
     if not lo < 0.0 < hi:
         raise PreconditionError("family domain must contain t = 0")
+    grid_size(grid_n)
     sweep = run_scan(F, np.linspace(lo, hi, scan_nodes), localize=False,
                      period_tol=period_tol)
     if sweep.transitions:

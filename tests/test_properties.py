@@ -11,6 +11,8 @@ from pexpand import functional as fn
 from pexpand import maps as mp
 from pexpand import scan as sc
 
+import oracles
+
 GOLDEN = mp.golden_tent()
 TENT = mp.full_tent()
 WORDS = cj.periodic_words(GOLDEN)
@@ -27,6 +29,11 @@ def combo(a: float, b: float, c: float) -> mp.DirectionField:
 
 
 fields = st.builds(combo, weights, weights, weights)
+small = st.floats(-0.05, 0.05, allow_nan=False)
+# tents bent by small field multiples: curved branches of degree up to 4
+curved_maps = st.builds(
+    lambda s, a, b, c: mp.symmetric_tent(s).add_scaled(combo(a, b, c), 1.0),
+    slopes, small, small, small).filter(lambda f: mp.validate(f).passed)
 
 coefficient = st.one_of(st.just(0.0), st.just(-0.0),
                         st.floats(-1e3, 1e3, allow_nan=False))
@@ -92,6 +99,95 @@ class TestOrbitGrowth:
         lam = mp.lambda_of(f)
         for i, prod in enumerate(orb.products):
             assert abs(prod) >= lam ** i * (1.0 - 1e-12)
+
+
+def ref_orbit(f, x, n, tol_c):
+    """Plain loop: n points from x, continuing from c after a band point."""
+    out = [x]
+    for _ in range(n - 1):
+        x = f.value(0.0 if abs(x) < tol_c else x)
+        out.append(x)
+    return out
+
+
+def ref_products(f, points, tol_c):
+    """Products of Df along points[1:] up to the first return to c."""
+    products, prod = [1.0], 1.0
+    for x in points[1:-1]:
+        if abs(x) < tol_c or x == 0.0:
+            break
+        prod *= f.deriv(x, 1)
+        products.append(prod)
+    return products
+
+
+def ref_alpha(f, v, x, n_max, tol_c=mp.TOL_C):
+    if abs(x) < tol_c:
+        return 0.0
+    total, prod = 0.0, 1.0
+    for _ in range(n_max):
+        prod *= f.deriv(x, 1)
+        total += v.value(x) / prod
+        x = f.value(x)
+        if abs(x) < tol_c:
+            break
+    return -total
+
+
+class TestCurvedOrbits:
+    """Orbit consumers against plain loops, bit for bit, on curved maps."""
+
+    @given(curved_maps, st.sampled_from([mp.TOL_C, 0.0]))
+    @settings(deadline=None, max_examples=40)
+    def test_critical_orbit(self, f, tol_c):
+        orb = mp.critical_orbit(f, 40, tol_c)
+        points = ref_orbit(f, 0.0, 41, tol_c)
+        assert _hex(orb.points) == _hex(points)
+        assert _hex(orb.products) == _hex(ref_products(f, points, tol_c))
+
+    @given(curved_maps, points)
+    @settings(deadline=None, max_examples=40)
+    def test_symbols(self, f, x):
+        def symbols(x, n):
+            return "".join("C" if abs(y) < mp.TOL_C else "L" if y < 0 else "R"
+                           for y in ref_orbit(f, x, n, mp.TOL_C))
+        assert mp.kneading(f, 30).symbols == symbols(0.0, 30)
+        assert mp.itinerary(f, x, 30).symbols == symbols(x, 30)
+
+    @given(curved_maps)
+    @settings(deadline=None, max_examples=40)
+    def test_period_and_relations(self, f):
+        xs = ref_orbit(f, 0.0, 65, 0.0)
+        tol = mp.PERIOD_TOL
+        r = [abs(x) for x in xs]
+        hit = next((q for q in range(1, 65) if r[q] < tol), None)
+        band = [(q, r[q]) for q in range(1, hit or 65)
+                if tol <= r[q] < 10 * tol]
+        det = mp.detect_periodic_critical(f)
+        assert (det.period, det.ambiguous) == (hit, tuple(band))
+        pairs = [(i, j, abs(xs[i] - xs[j]))
+                 for i in range(8) for j in range(i + 1, 9)]
+        rel = mp.critical_relations(f)
+        assert rel.relations == tuple((i, j) for i, j, d in pairs if d < tol)
+        assert rel.ambiguous == tuple(
+            (i, j) for i, j, d in pairs if tol <= d < 10 * tol)
+
+    @given(curved_maps, fields, st.lists(points, min_size=1, max_size=6))
+    @settings(deadline=None, max_examples=30)
+    def test_alpha_scalar_and_array(self, f, v, xs):
+        sol = fn.alpha(f, v)
+        xs = [f.critical_value] + xs
+        want = [ref_alpha(f, v, x, sol.n_max) for x in xs]
+        assert _hex(sol.value(np.array(xs))) == _hex(want)
+        assert _hex([sol.value(x) for x in xs]) == _hex(want)
+
+    @given(curved_maps, fields)
+    @settings(deadline=None, max_examples=20)
+    def test_j_against_mp_series(self, f, v):
+        j = fn.j_functional(f, v)
+        assume(j.mode == "series")
+        ref = float(oracles.mp_j_series(f, v, n=300))
+        assert abs(j.value - ref) <= j.tail_bound + 1e-11
 
 
 class TestItineraryUniqueness:

@@ -39,25 +39,6 @@ def horizontal_tilde(golden):
     return df.build_tilde_family(fam, mp.bump_field(), trace)
 
 
-class TestWorkerCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("PEXPAND_THREADS", raising=False)
-        assert sc.worker_count(8) >= 1
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("PEXPAND_THREADS", "3")
-        assert sc.worker_count(100) == 3
-        assert sc.worker_count(2) == 2
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("PEXPAND_THREADS", "many")
-        with pytest.raises(PreconditionError):
-            sc.worker_count(4)
-        monkeypatch.setenv("PEXPAND_THREADS", "0")
-        with pytest.raises(PreconditionError):
-            sc.worker_count(4)
-
-
 class TestRunScan:
     def test_transversal_crossing(self, transversal_family):
         res = sc.run_scan(transversal_family, np.linspace(-0.02, 0.02, 101))
@@ -95,15 +76,6 @@ class TestRunScan:
         a = sc.run_scan(transversal_family, grid)
         b = sc.run_scan(transversal_family, grid)
         assert a == b
-
-    def test_thread_count_does_not_change_records(self, monkeypatch,
-                                                  transversal_family):
-        grid = np.linspace(-0.02, 0.02, 31)
-        monkeypatch.setenv("PEXPAND_THREADS", "1")
-        serial = sc.run_scan(transversal_family, grid)
-        monkeypatch.setenv("PEXPAND_THREADS", "4")
-        threaded = sc.run_scan(transversal_family, grid)
-        assert serial == threaded
 
     def test_empty_grid(self, transversal_family):
         res = sc.run_scan(transversal_family, [])
@@ -196,17 +168,14 @@ class TestCli:
         rep = json.loads((tmp_path / "o" / "validation.json").read_text())
         assert rep["valid"] is False
 
-    def test_scan_deterministic_bytes(self, tmp_path, monkeypatch):
+    def test_scan_deterministic_bytes(self, tmp_path):
         cfg = _write_cfg(tmp_path / "c.json", {
             "family": {"base": "golden_tent",
                        "terms": [{"field": "bump"}]},
             "grid": {"n": 21}})
-        monkeypatch.setenv("PEXPAND_THREADS", "1")
-        assert cli.main(["scan", "--config", cfg,
-                         "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setenv("PEXPAND_THREADS", "2")
-        assert cli.main(["scan", "--config", cfg,
-                         "--out", str(tmp_path / "b")]) == 0
+        for run in ("a", "b"):
+            assert cli.main(["scan", "--config", cfg,
+                             "--out", str(tmp_path / run)]) == 0
         for name in ("records.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
@@ -309,3 +278,48 @@ class TestCli:
             assert cli.main([cmd, "--config", cfg,
                              "--out", str(tmp_path / "o")]) == 1
             assert "MAX_TERMS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "nan", "-1"])
+    def test_tol_not_positive_exits_1(self, tmp_path, capsys, tol):
+        cfg = _write_cfg(tmp_path / "c.json",
+                         {"map": "golden_tent", "field": "bump"})
+        assert cli.main(["j", "--config", cfg, "--out", str(tmp_path / "o"),
+                         f"--tol={tol}"]) == 1
+        assert "finite and > 0" in capsys.readouterr().err
+
+    def test_exact_return_ends_series(self, tmp_path):
+        # f^2(c) sits in the hysteresis band, and the raw orbit lands on
+        # 0.0 exactly at step k = 32 of the 368434 the series asks for
+        f, v = mp.symmetric_tent(1.0001), mp.bump_field()
+        k = mp.iterates(f, 100).index(0.0, 1)
+        cfg = _write_cfg(tmp_path / "c.json",
+                         {"map": {"slope": 1.0001}, "field": "bump"})
+        assert cli.main(["j", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        out = json.loads((tmp_path / "o" / "j.json").read_text())
+        assert out["mode"] == "ambiguous"
+        assert out["n_terms"] == k and out["tail_bound"] == 0.0
+        series = [c["value"] for c in out["candidates"]
+                  if c["mode"] == "series"]
+        assert series == [fn.j_periodic_sum(f, v, k)]
+
+    def test_scan_grid_below_two_exits_1(self, tmp_path, capsys):
+        family = {"base": "golden_tent", "terms": [{"field": "bump"}]}
+        cfg = _write_cfg(tmp_path / "c.json", {"family": family})
+        for extra in (["--grid", "1"], ["--grid", "0"], ["--grid=-3"]):
+            assert cli.main(["scan", "--config", cfg,
+                             "--out", str(tmp_path / "o")] + extra) == 1
+            assert "at least 2 points" in capsys.readouterr().err
+        cfg = _write_cfg(tmp_path / "d.json",
+                         {"family": family, "grid": {"n": 1}})
+        assert cli.main(["scan", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 1
+        assert "at least 2 points" in capsys.readouterr().err
+
+    def test_cor52_grid_below_two_exits_1(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "c.json", {
+            "family": {"base": "golden_tent", "terms": [{"field": "bump"}]}})
+        for n in ("0", "1"):
+            assert cli.main(["cor52", "--config", cfg, "--grid", n,
+                             "--out", str(tmp_path / "o")]) == 1
+            assert "at least 2 points" in capsys.readouterr().err
