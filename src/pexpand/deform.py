@@ -32,9 +32,8 @@ from .errors import (
 from .functional import (
     J_TOL,
     default_tol_w,
-    j_functional,
+    j_pair,
     j_periodic_sum,
-    j_series_sum,
 )
 from .maps import (
     PERIOD_TOL,
@@ -51,7 +50,6 @@ from .maps import (
     is_good,
     iterates,
     kneading,
-    require_valid,
     validate,
 )
 
@@ -71,14 +69,6 @@ class SlopeValue:
     j_w: float
     residual: float      # |j_v + d * j_w|, roundoff-level by construction
     manifold_residual: float | None  # |f^p(c) - c| when a period is tracked
-
-
-def _assemble(F: MapFamily, w: DirectionField, t: float, theta: float) -> PiecewiseMap:
-    g = family_eval(F, t, check=False)
-    if theta != 0.0:
-        g = g.add_scaled(w, theta)
-    require_valid(g)
-    return g
 
 
 def _node_at(nodes, t: float, atol: float):
@@ -145,29 +135,21 @@ def slope_field(F: MapFamily, w: DirectionField, t: float, theta: float,
     """
     if tol_w is None:
         tol_w = default_tol_w(w)
-    g = _assemble(F, w, t, theta)
+    g = family_eval(F, t, w=w, theta=theta)
     v = family_velocity(F, t)
-    manifold_res = None
-    p_used = None
+    orb = manifold_res = p_used = None
     if relation_period is not None:
-        manifold_res = abs(iterates(g, relation_period)[-1])
+        # one raw orbit gives the residual and, when deep enough, both sums
+        orb = critical_orbit(g, relation_period, tol_c=0.0)
+        manifold_res = abs(orb.points[relation_period])
         if manifold_res < band:
             p_used = relation_period
     if p_used is None:
         det = detect_periodic_critical(g, tol=period_tol)
-        if det.period is not None or not det.clean:
-            qs = [q for q, _ in det.ambiguous]
-            if det.period is not None:
-                qs.append(det.period)
-            p_used = min(qs)
-    if p_used is not None:
-        jv = j_periodic_sum(g, v, p_used)
-        jw = j_periodic_sum(g, w, p_used)
-        mode = "periodic-pair"
-    else:
-        jv, _, _ = j_series_sum(g, v, j_tol)
-        jw, _, _ = j_series_sum(g, w, j_tol)
-        mode = "series-pair"
+        qs = [det.period] if det.period is not None else []
+        p_used = min(qs + [q for q, _ in det.ambiguous], default=None)
+    jv, jw = j_pair(g, v, w, j_tol, p_used, orb)
+    mode = "series-pair" if p_used is None else "periodic-pair"
     if abs(jw) <= tol_w:
         raise DegenerateDirectionError(
             f"|J(f,w)| = {abs(jw):.3e} <= tol_w = {tol_w:.3e} at "
@@ -218,7 +200,7 @@ class DeformationTrace:
 
     def map_at(self, t: float) -> PiecewiseMap:
         n = self.node_at(t)
-        return _assemble(self.family, self.w, n.t, n.b)
+        return family_eval(self.family, n.t, w=self.w, theta=n.b)
 
 
 def integrate_deformation(F: MapFamily, w: DirectionField,
@@ -256,12 +238,17 @@ def integrate_deformation(F: MapFamily, w: DirectionField,
     w0 = w.value(0.0)
 
     dom_lo, dom_hi = F.domain
+    slopes: dict[tuple[float, float], SlopeValue] = {}
 
     def d_of(t: float, b: float) -> SlopeValue:
         # stage times can overshoot the domain edge by one rounding ulp
         t = min(max(t, dom_lo), dom_hi)
-        return slope_field(F, w, t, b, relation_period=p_rel, band=band,
-                           j_tol=j_tol, tol_w=tol_w)
+        # each (t, b) once: a step's k1 is its start node's slope (clamped
+        # or not), shared by the big step, the first half step and retries
+        if (t, b) not in slopes:
+            slopes[t, b] = slope_field(F, w, t, b, relation_period=p_rel,
+                                       band=band, j_tol=j_tol, tol_w=tol_w)
+        return slopes[t, b]
 
     def rk4(t: float, b: float, h: float) -> float:
         k1 = d_of(t, b).d
@@ -272,7 +259,7 @@ def integrate_deformation(F: MapFamily, w: DirectionField,
 
     def make_node(t: float, b: float, h: float, err: float) -> TraceNode:
         clamped = at_boundary = False
-        g = _assemble(F, w, t, b)
+        g = family_eval(F, t, w=w, theta=b)
         excess = g.critical_value - 1.0
         if excess > 0.0:
             if w0 == 0.0:
@@ -281,7 +268,7 @@ def integrate_deformation(F: MapFamily, w: DirectionField,
                     validate(g))
             b -= excess / w0
             clamped = True
-            g = _assemble(F, w, t, b)
+            g = family_eval(F, t, w=w, theta=b)
         if abs(g.critical_value - 1.0) <= CLAMP_SLACK:
             at_boundary = True
         sv = d_of(t, b)
@@ -358,7 +345,7 @@ def build_tilde_family(F: MapFamily, w: DirectionField,
     drift = None
     base = kneading(family_eval(F, 0.0, check=False), kneading_depth, tol_c)
     for idx, node in enumerate(trace.nodes):
-        g = _assemble(F, w, node.t, node.b)
+        g = family_eval(F, node.t, w=w, theta=node.b)
         vel = family_velocity(F, node.t).add(w.scale(node.d))
         samples.append(TildeSample(node.t, g, vel))
         kn = kneading(g, kneading_depth, tol_c)
@@ -395,23 +382,23 @@ def _newton(F: MapFamily, w: DirectionField, p: int, t: float, theta: float,
     trial points that assemble to invalid maps are damped back toward the
     current iterate.
     """
-    g = _assemble(F, w, t, theta)
+    g = family_eval(F, t, w=w, theta=theta)
     for it in range(1, max_iter + 1):
-        xs = iterates(g, p)
+        orb = critical_orbit(g, p, tol_c=0.0)
+        xs = orb.points
         if abs(xs[p]) < newton_tol:
             return theta, g, xs, it
-        orb = critical_orbit(g, p, tol_c=0.0)
         if len(orb.products) < p:
             raise NewtonDivergenceError(
                 f"critical orbit returns to c at step {orb.truncated_at} < {p}")
-        dG = orb.products[p - 1] * j_periodic_sum(g, w, p)
+        dG = orb.products[p - 1] * j_periodic_sum(g, w, p, orb)
         if abs(dG) < 1e-14:
             raise NewtonDivergenceError(
                 f"degenerate derivative {dG!r} at theta={theta!r}")
         step = -xs[p] / dG
         for _ in range(9):
             try:
-                g_new = _assemble(F, w, t, theta + step)
+                g_new = family_eval(F, t, w=w, theta=theta + step)
                 break
             except InvalidMapError:
                 step /= 2.0
@@ -474,7 +461,7 @@ class PeriodicContinuation:
 
     def map_at(self, t: float) -> PiecewiseMap:
         n = self.node_at(t)
-        return _assemble(self.family, self.w, n.t, n.theta)
+        return family_eval(self.family, n.t, w=self.w, theta=n.theta)
 
     def fd_slope_gaps(self) -> tuple[float, ...]:
         """|finite-difference slope - predictor slope| at interior nodes.
@@ -506,6 +493,8 @@ def continue_periodic(F: MapFamily, w: DirectionField, p: int, theta0: float,
     back onto f^p(c) = c at each node; the prime period must stay p, a
     change aborts the sweep and records the node index.
     """
+    if p < 1:
+        raise PreconditionError("period must be >= 1")
     if t_range is None:
         t_range = F.domain
     t_lo, t_hi = t_range
@@ -527,7 +516,7 @@ def continue_periodic(F: MapFamily, w: DirectionField, p: int, theta0: float,
                                 abs(xs[p]), iters)
         return node, node
 
-    res0 = abs(iterates(_assemble(F, w, 0.0, theta0), p)[p])
+    res0 = abs(iterates(family_eval(F, 0.0, w=w, theta=theta0), p)[p])
     if res0 > 10.0 * newton_tol:
         theta0, _, xs, _ = _newton(F, w, p, 0.0, theta0, newton_tol,
                                    max_newton)
@@ -568,7 +557,8 @@ def transversal_derivative(F: MapFamily, p: int, t0: float = 0.0,
             f"critical point is not cleanly period-{p} at t0={t0!r} "
             f"(detected {det.period!r})")
     orb = critical_orbit(f, p, tol_c=0.0)
-    chain = orb.products[p - 1] * j_periodic_sum(f, family_velocity(F, t0), p)
+    chain = orb.products[p - 1] * j_periodic_sum(f, family_velocity(F, t0), p,
+                                                 orb)
     g_hi = family_eval(F, t0 + fd_h, check=False)
     g_lo = family_eval(F, t0 - fd_h, check=False)
     fd = (iterates(g_hi, p)[p] - iterates(g_lo, p)[p]) / (2.0 * fd_h)

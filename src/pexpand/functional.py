@@ -33,6 +33,7 @@ from .errors import (
 from .maps import (
     PERIOD_TOL,
     TOL_C,
+    CriticalOrbit,
     DirectionField,
     MapFamily,
     PiecewiseMap,
@@ -87,28 +88,49 @@ def _series_depth(f: PiecewiseMap, v: DirectionField,
     return n, sup_v * lam ** (-n) / (1.0 - 1.0 / lam)
 
 
-def _series(f: PiecewiseMap, v: DirectionField, n: int,
-            tail: float) -> tuple[float, float, int]:
+def _series(f: PiecewiseMap, v: DirectionField, n: int, tail: float,
+            orb: CriticalOrbit | None = None) -> tuple[float, float, int]:
     """(sum, tail, k): the first k = n terms v(x_i)/P_i on the raw orbit, or
-    k < n when x_k lands exactly on c, which ends the sum exactly (tail 0)."""
+    k < n when x_k lands exactly on c, which ends the sum exactly (tail 0).
+    ``orb``, f's raw (tol_c = 0) critical orbit, serves when it reaches depth
+    n: orbit prefixes do not depend on the depth, so the bits are the same."""
     if n == 0:
         return 0.0, 0.0, 0
-    orb = critical_orbit(f, n, tol_c=0.0)  # tol_c=0: never snap
+    if orb is None or len(orb.points) <= n:
+        orb = critical_orbit(f, n, tol_c=0.0)
     terms = [v.value(x) / p for x, p in zip(orb.points[:n], orb.products[:n])]
     return math.fsum(terms), tail if len(terms) == n else 0.0, len(terms)
 
 
-def j_periodic_sum(f: PiecewiseMap, v: DirectionField, p: int) -> float:
-    """Finite p-term value of J, the exact form when c has period p."""
+def j_periodic_sum(f: PiecewiseMap, v: DirectionField, p: int,
+                   orb: CriticalOrbit | None = None) -> float:
+    """Finite p-term value of J, the exact form when c has period p; ``orb``
+    as in _series."""
     if p < 1:
         raise PreconditionError("period must be >= 1")
-    return _series(f, v, p, 0.0)[0]
+    return _series(f, v, p, 0.0, orb)[0]
 
 
 def j_series_sum(f: PiecewiseMap, v: DirectionField,
                  tol: float = J_TOL) -> tuple[float, float, int]:
     """Truncated series value with certified geometric tail bound."""
     return _series(f, v, *_series_depth(f, v, tol))
+
+
+def j_pair(f: PiecewiseMap, v: DirectionField, w: DirectionField,
+           tol: float = J_TOL, p: int | None = None,
+           orb: CriticalOrbit | None = None) -> tuple[float, float]:
+    """(J(f, v), J(f, w)) bit for bit as ``j_periodic_sum(f, ., p)`` gives
+    them, or ``j_series_sum(f, ., tol)`` when p is None, on one raw critical
+    orbit as deep as the deeper sum; ``orb`` as in _series."""
+    if p is not None and p < 1:
+        raise PreconditionError("period must be >= 1")
+    (nv, tv), (nw, tw) = ((_series_depth(f, v, tol), _series_depth(f, w, tol))
+                          if p is None else ((p, 0.0), (p, 0.0)))
+    n = max(nv, nw)
+    if n and (orb is None or len(orb.points) <= n):
+        orb = critical_orbit(f, n, tol_c=0.0)
+    return _series(f, v, nv, tv, orb)[0], _series(f, w, nw, tw, orb)[0]
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice
+from functools import cached_property, lru_cache
+from itertools import chain, islice
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -62,6 +62,24 @@ def _der(coeffs: tuple[float, ...], order: int) -> tuple[float, ...]:
     for _ in range(order):
         coeffs = tuple(j * coeffs[j] for j in range(1, len(coeffs)))
     return coeffs
+
+
+def _trim(c: tuple[float, ...]) -> tuple[float, ...]:
+    """c without trailing zeros, keeping at least one (numpy's trimseq)."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0.0:
+        n -= 1
+    return c[:n]
+
+
+def _axpy(a: tuple[float, ...], s: float,
+          b: tuple[float, ...]) -> tuple[float, ...]:
+    """a + s*b bit for bit as numpy ``polyadd(a, s*b)``, signed zeros too:
+    both inputs trimmed, the shorter added onto the longer, the sum trimmed."""
+    a, b = _trim(a), _trim(tuple(s * x for x in b))
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
 
 def _pval(coeffs: tuple[float, ...], x):
@@ -192,15 +210,13 @@ class PiecewiseMap:
 
     def add_scaled(self, direction: "DirectionField", s: float) -> "PiecewiseMap":
         """Return the map with coefficients self + s*direction, same k."""
-        nl = P.polyadd(np.asarray(self.left), s * np.asarray(direction.left))
-        nr = P.polyadd(np.asarray(self.right), s * np.asarray(direction.right))
-        return PiecewiseMap(tuple(nl), tuple(nr), self.k)
+        return PiecewiseMap(_axpy(self.left, s, direction.left),
+                            _axpy(self.right, s, direction.right), self.k)
 
     def difference(self, other: "PiecewiseMap") -> "DirectionField":
         """self - other as a (relaxed) direction field, for norm arithmetic."""
-        dl = P.polysub(np.asarray(self.left), np.asarray(other.left))
-        dr = P.polysub(np.asarray(self.right), np.asarray(other.right))
-        return DirectionField(tuple(dl), tuple(dr), relaxed=True)
+        return DirectionField(_axpy(self.left, -1.0, other.left),
+                              _axpy(self.right, -1.0, other.right), True)
 
 
 def interval_image(f: PiecewiseMap, lo: float, hi: float) -> tuple[float, float]:
@@ -238,18 +254,23 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _certified_deriv_range(coeffs: tuple[float, ...], lo: float, hi: float):
-    """Grid min/max of the branch derivative with a Lipschitz slack.
+# the certification grids of the two branches, built once
+_GRID_LEFT = np.linspace(-1.0, 0.0, GRID_POINTS)
+_GRID_RIGHT = np.linspace(0.0, 1.0, GRID_POINTS)
+_GRID_LEFT.flags.writeable = _GRID_RIGHT.flags.writeable = False
+
+
+def _certified_deriv_range(coeffs: tuple[float, ...], xs: np.ndarray):
+    """Min/max of the branch derivative on the grid xs, with a Lipschitz slack.
 
     The slack sum(|c_j| j(j-1)) bounds |D2f| on |x| <= 1, so grid extrema
     are off by at most slack*h/2.  Sound for monomial branches without
     interval arithmetic.
     """
     dc = _der(coeffs, 1)
-    xs = np.linspace(lo, hi, GRID_POINTS)
     vals = _pval(dc, xs)
     lip = sum(abs(c) * j * (j - 1) for j, c in enumerate(coeffs))
-    pad = lip * (hi - lo) / (GRID_POINTS - 1) / 2.0
+    pad = lip * float(xs[-1] - xs[0]) / (GRID_POINTS - 1) / 2.0
     i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
     return (float(vals[i_min]) - pad, float(vals[i_max]) + pad,
             float(xs[i_min]), float(xs[i_max]))
@@ -270,13 +291,13 @@ def validate(f: PiecewiseMap) -> ValidationReport:
         "boundary_fixed", ok,
         f"f(-1)={fm1!r}, f(1)={fp1!r}", None if ok else (-1.0 if abs(fm1 + 1) > ENDPOINT_TOL else 1.0)))
 
-    lo_l, _hi_l, w_l, _ = _certified_deriv_range(f.left, -1.0, 0.0)
+    lo_l, _hi_l, w_l, _ = _certified_deriv_range(f.left, _GRID_LEFT)
     ok_l = lo_l > 1.0
     checks.append(ValidationCheck(
         "expansion_left", ok_l, f"certified min Df on [-1,0] = {lo_l!r}",
         None if ok_l else w_l))
 
-    _lo_r, hi_r, _, w_r = _certified_deriv_range(f.right, 0.0, 1.0)
+    _lo_r, hi_r, _, w_r = _certified_deriv_range(f.right, _GRID_RIGHT)
     ok_r = hi_r < -1.0
     checks.append(ValidationCheck(
         "expansion_right", ok_r, f"certified max Df on [0,1] = {hi_r!r}",
@@ -579,6 +600,22 @@ def expansivity_certificate(f: PiecewiseMap, eps0: float = 0.5,
 # direction fields
 
 
+def _field_branches(left, right, relaxed: bool = False):
+    """(left, right) checked as a direction field's branches: equal at c
+    and, unless relaxed, vanishing at the boundary."""
+    left, right = _coeffs(left), _coeffs(right)
+    if left[0] != right[0]:
+        raise ValueError("field branches must agree at the critical point")
+    if not relaxed:
+        bl = float(_pval(left, -1.0))
+        br = float(_pval(right, 1.0))
+        if abs(bl) > 1e-12 or abs(br) > 1e-12:
+            raise ValueError(
+                f"direction field must vanish at the boundary "
+                f"(v(-1)={bl!r}, v(1)={br!r}); pass relaxed=True for observables")
+    return left, right
+
+
 @dataclass(frozen=True)
 class DirectionField:
     """Piecewise-polynomial perturbation with the same branch layout as maps.
@@ -593,26 +630,22 @@ class DirectionField:
     relaxed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "left", _coeffs(self.left))
-        object.__setattr__(self, "right", _coeffs(self.right))
-        if self.left[0] != self.right[0]:
-            raise ValueError("field branches must agree at the critical point")
-        if not self.relaxed:
-            bl = float(_pval(self.left, -1.0))
-            br = float(_pval(self.right, 1.0))
-            if abs(bl) > 1e-12 or abs(br) > 1e-12:
-                raise ValueError(
-                    f"direction field must vanish at the boundary "
-                    f"(v(-1)={bl!r}, v(1)={br!r}); pass relaxed=True for observables")
+        left, right = _field_branches(self.left, self.right, self.relaxed)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def value(self, x):
         """v(x) at a float, or elementwise at an ndarray of points."""
         return _on_branches(self.left, self.right, x)
 
-    def sup_norm(self) -> float:
-        """Exact sup |v| over I via branch stationary points."""
+    @cached_property
+    def _sup(self) -> float:
         return max(_branch_sup(self.left, -1.0, 0.0),
                    _branch_sup(self.right, 0.0, 1.0))
+
+    def sup_norm(self) -> float:
+        """Exact sup |v| over I via branch stationary points, computed once."""
+        return self._sup
 
     def grid_norm(self, order_max: int, n: int = 2048) -> float:
         """max over branches and derivative orders 0..order_max of grid sups."""
@@ -630,9 +663,8 @@ class DirectionField:
                               tuple(s * c for c in self.right), self.relaxed)
 
     def add(self, other: "DirectionField") -> "DirectionField":
-        nl = P.polyadd(np.asarray(self.left), np.asarray(other.left))
-        nr = P.polyadd(np.asarray(self.right), np.asarray(other.right))
-        return DirectionField(tuple(nl), tuple(nr),
+        return DirectionField(_axpy(self.left, 1.0, other.left),
+                              _axpy(self.right, 1.0, other.right),
                               self.relaxed or other.relaxed)
 
 
@@ -684,32 +716,43 @@ class MapFamily:
                                  "(boundary zeros), not relaxed observables")
 
 
-def family_eval(F: MapFamily, t: float, check: bool = True) -> PiecewiseMap:
-    """Assemble f_t exactly; optionally validate (errors carry the report)."""
+def family_eval(F: MapFamily, t: float, check: bool = True,
+                w: DirectionField | None = None,
+                theta: float = 0.0) -> PiecewiseMap:
+    """Assemble f_t (+ theta*w given w) exactly; optionally validate (errors
+    carry the report).  Bit for bit a chain of ``add_scaled`` over nonzero
+    scalars, with a map's checks on each partial sum, but one map is built."""
     lo, hi = F.domain
     if not lo <= t <= hi:
         raise PreconditionError(f"t={t} outside family domain [{lo}, {hi}]")
-    f = F.base
-    for term in F.terms:
-        s = term.scalar(t)
+    steps = chain(((term.scalar(t), term.field) for term in F.terms),
+                  ((theta, w),) if w is not None else ())
+    left, right = F.base.left, F.base.right
+    for s, d in steps:
         if s != 0.0:
-            f = f.add_scaled(term.field, s)
+            left = _coeffs(_axpy(left, s, d.left))
+            right = _coeffs(_axpy(right, s, d.right))
+    f = PiecewiseMap(left, right, F.base.k)
     if check:
         require_valid(f)
     return f
 
 
 def family_velocity(F: MapFamily, t: float) -> DirectionField:
-    """Exact term-wise t-derivative of the family at t."""
+    """Exact term-wise t-derivative of the family at t: bit for bit the
+    ``add`` of ``field.scale(s)`` terms, with a field's checks on each."""
     lo, hi = F.domain
     if not lo <= t <= hi:
         raise PreconditionError(f"t={t} outside family domain [{lo}, {hi}]")
-    v = ZERO_FIELD
+    left, right = ZERO_FIELD.left, ZERO_FIELD.right
     for term in F.terms:
         s = term.scalar_deriv(t)
         if s != 0.0:
-            v = v.add(term.field.scale(s))
-    return v
+            sl, sr = _field_branches([s * c for c in term.field.left],
+                                     [s * c for c in term.field.right])
+            left, right = _field_branches(_axpy(left, 1.0, sl),
+                                          _axpy(right, 1.0, sr))
+    return DirectionField(left, right)
 
 
 # ---------------------------------------------------------------------------

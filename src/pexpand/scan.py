@@ -155,8 +155,13 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
     evaluated between nodes, so their transitions keep the grid width and
     are marked unlocalized.  Node failures become error records and the
     scan continues; the A<=>D diagnostic (no transitions <=> max|J| under
-    max(10*tail, floor)) is recorded, not enforced.
+    max(10*tail, floor)) is recorded, not enforced.  Depths that no node
+    could use are refused before any node is evaluated.
     """
+    if kneading_depth < 1 or relation_depth < 2:
+        raise PreconditionError(
+            "kneading depth must be >= 1 and relation depth >= 2, got "
+            f"{kneading_depth} and {relation_depth}")
     src = _source(family)
     if t_grid is None:
         if src.continuous:

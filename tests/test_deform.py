@@ -17,12 +17,13 @@ from pexpand import (
     full_tent,
     golden_tent,
     odd_field,
+    square_bump_field,
     symmetric_tent,
     tent_profile_field,
 )
 from pexpand import deform as df
 from pexpand import functional as fn
-from pexpand.maps import GOLDEN_RATIO
+from pexpand.maps import GOLDEN_RATIO, family_velocity
 
 import oracles
 
@@ -90,6 +91,72 @@ class TestSlopeField:
     def test_invalid_assembly_refused(self):
         with pytest.raises(InvalidMapError):
             df.slope_field(transversal_family(), odd_field(), 0.0, 0.9)
+
+
+def series_family(domain=(-0.003, 0.003)):
+    """Tent of slope 1.8, whose critical orbit is not periodic, moved along
+    square_bump projected into Ker J along bump: the series route."""
+    f = symmetric_tent(1.8)
+    proj = fn.kernel_projection(f, square_bump_field(), bump_field())
+    return MapFamily(f, (FamilyTerm(proj.field),), domain)
+
+
+def chained_map(F, w, t, theta):
+    """f_t + theta*w as a chain of add_scaled calls."""
+    g = F.base
+    for term in F.terms:
+        if term.scalar(t) != 0.0:
+            g = g.add_scaled(term.field, term.scalar(t))
+    return g.add_scaled(w, theta) if theta != 0.0 else g
+
+
+class TestEvaluationBudget:
+    """Each distinct (t, b) of the kernel ODE is evaluated once, and the two
+    J values of a slope share one orbit without changing a bit."""
+
+    @pytest.mark.parametrize("family, w, mode", [
+        (transversal_family(), odd_field(), "periodic-pair"),
+        (series_family(), bump_field(), "series-pair"),
+    ])
+    def test_eleven_slopes_per_accepted_step(self, monkeypatch, family, w,
+                                             mode):
+        seen = []
+        real = df.slope_field
+
+        def recording(F, w, t, theta, **kwargs):
+            seen.append((t, theta, real(F, w, t, theta, **kwargs)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(df, "slope_field", recording)
+        tr = df.integrate_deformation(family, w)
+        steps = len(tr.nodes) - 1
+        # no step was rejected: every step is H0 (to rounding at the ends)
+        lo, hi = family.domain
+        assert tr.truncated == () and steps == round((hi - lo) / df.H0)
+        assert all(math.isclose(abs(n.step), df.H0)
+                   for n in tr.nodes if n.t != 0.0)
+        # 3 + 3 + 4 RK4 stages and the node per step, and the centre
+        assert len(seen) == 11 * steps + 1
+        assert len({(t, b) for t, b, _ in seen}) == len(seen)
+        p = tr.relation_period
+        for t, b, sv in seen:
+            assert sv.mode == mode
+            g, v = chained_map(family, w, t, b), family_velocity(family, t)
+            if p is None:
+                ref = (fn.j_series_sum(g, v)[0], fn.j_series_sum(g, w)[0])
+            else:
+                ref = (fn.j_periodic_sum(g, v, p), fn.j_periodic_sum(g, w, p))
+            assert (sv.j_v.hex(), sv.j_w.hex()) == tuple(x.hex() for x in ref)
+
+    def test_fixed_steps_reuse_k1(self, monkeypatch):
+        calls = []
+        real = df.slope_field
+        monkeypatch.setattr(df, "slope_field",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        tr = df.integrate_deformation(transversal_family(), odd_field(),
+                                      t_range=(-0.004, 0.004),
+                                      adaptive=False)
+        assert len(calls) == 4 * (len(tr.nodes) - 1) + 1
 
 
 class TestIntegrateDeformation:
@@ -222,6 +289,22 @@ class TestFindPeriodicTheta:
         with pytest.raises(PreconditionError):
             df.find_periodic_theta(transversal_family(), odd_field(), 6)
 
+    @pytest.mark.parametrize("family, w, theta0, t, bits, iterations", [
+        (MapFamily(symmetric_tent(1.6), (FamilyTerm(tent_profile_field()),)),
+         tent_profile_field(), 0.018, 0.0, "0x1.277807f96c396p-6", 3),
+        (transversal_family(), odd_field(), 0.0, 0.015,
+         "0x1.52fd23edd51a9p-5", 4),
+        (MapFamily(golden_tent(), (FamilyTerm(bump_field()),
+                                   FamilyTerm(odd_field(), (2,)))),
+         bump_field(), 0.0, -0.02, "0x1.4a2e93c90ff98p-6", 5),
+    ])
+    def test_root_bits_and_iterations_pinned(self, family, w, theta0, t,
+                                             bits, iterations):
+        # values of the Newton that built three orbits per iteration
+        root = df.find_periodic_theta(family, w, 3, theta0=theta0, t=t)
+        assert root.theta.hex() == bits
+        assert root.iterations == iterations
+
     def test_no_nearby_root_diverges(self):
         # the only theta with g^2(c) = c sits far outside validity
         with pytest.raises(NewtonDivergenceError):
@@ -229,6 +312,11 @@ class TestFindPeriodicTheta:
 
 
 class TestContinuePeriodic:
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_period_below_one_refused(self, p):
+        with pytest.raises(PreconditionError, match="period must be >= 1"):
+            df.continue_periodic(transversal_family(), odd_field(), p, 0.0)
+
     def test_matches_ode_on_horizontal_family(self):
         F, w = horizontal_family(), odd_field()
         cont = df.continue_periodic(F, w, 3, 0.0)

@@ -2,7 +2,7 @@
 itinerary uniqueness, table monotonicity, scan determinism."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
@@ -58,6 +58,151 @@ class TestKernelBits:
     def test_derivative_matches_polyder(self, coeffs, m):
         c = tuple(coeffs)
         assert _hex(mp._der(c, m)) == _hex(P.polyder(np.array(c), m))
+
+
+# dyadic coefficients k/8 make the boundary sums of drawn fields exact
+dyadic = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.integers(-64, 64).map(lambda k: k / 8.0))
+trailing = st.lists(st.sampled_from([0.0, -0.0]), max_size=3)
+# boundary values a field may keep (|v(+-1)| <= 1e-12); scaled or summed,
+# they can exceed the bound, which a field's constructor refuses
+boundary_slack = st.sampled_from([0.0, 0.0, 6e-13, -9e-13])
+
+
+@st.composite
+def proper_fields(draw):
+    """Fields vanishing at the boundary, with unequal branch degrees,
+    signed zeros and trailing zeros."""
+    c = draw(dyadic)
+
+    def branch(end: float) -> tuple[float, ...]:
+        inner = draw(st.lists(dyadic, max_size=4))
+        at_end = c + sum(a * end ** k for k, a in enumerate(inner, 1))
+        last = -at_end * end ** (len(inner) + 1) + draw(boundary_slack)
+        return (c, *inner, last, *draw(trailing))
+
+    return mp.DirectionField(branch(-1.0), branch(1.0))
+
+
+@st.composite
+def families(draw):
+    """Families of 1-3 terms with t_powers up to 3 on tents carrying
+    signed trailing zeros; a huge domain drives scalars to overflow."""
+    a = draw(st.floats(1.2, 2.0))
+    base = mp.PiecewiseMap((a - 1.0, a, *draw(trailing)),
+                           (a - 1.0, -a, *draw(trailing)))
+    terms = draw(st.lists(st.builds(
+        mp.FamilyTerm, proper_fields(),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)),
+        min_size=1, max_size=3))
+    half = draw(st.sampled_from([0.02, 2.0, 1e103, 1e154]))
+    t = draw(st.one_of(st.sampled_from([0.0, -0.0, half, -half]),
+                       st.floats(-1.0, 1.0).map(lambda u: u * half)))
+    return mp.MapFamily(base, terms, (-half, half)), t
+
+
+scalars = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-4.0, 4.0),
+                    st.floats(-1e300, 1e300))
+loose_branches = st.lists(st.one_of(dyadic, st.floats(-1e3, 1e3)),
+                          min_size=0, max_size=5)
+
+
+def outcome(make):
+    """Coefficient bits of what make() builds, or its error's type and text."""
+    try:
+        with np.errstate(all="ignore"):
+            r = make()
+    except Exception as exc:  # noqa: BLE001  (the error is the outcome)
+        return type(exc).__name__, str(exc)
+    return _hex(r.left), _hex(r.right)
+
+
+def ref_sum(a, s, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(P.polyadd(np.asarray(a), s * np.asarray(b)))
+
+
+def ref_add_scaled(f, d, s):
+    return mp.PiecewiseMap(ref_sum(f.left, s, d.left),
+                           ref_sum(f.right, s, d.right), f.k)
+
+
+def ref_field_add(u, v):
+    return mp.DirectionField(ref_sum(u.left, 1.0, v.left),
+                             ref_sum(u.right, 1.0, v.right),
+                             u.relaxed or v.relaxed)
+
+
+def ref_family_eval(F, t, w=None, theta=0.0, check=True):
+    """f_t + theta*w as a chain of polyadd-built maps, one per nonzero scalar."""
+    lo, hi = F.domain
+    if not lo <= t <= hi:
+        raise mp.PreconditionError(
+            f"t={t} outside family domain [{lo}, {hi}]")
+    f = F.base
+    for term in F.terms:
+        s = term.scalar(t)
+        if s != 0.0:
+            f = ref_add_scaled(f, term.field, s)
+    if w is not None and theta != 0.0:
+        f = ref_add_scaled(f, w, theta)
+    if check:
+        mp.require_valid(f)
+    return f
+
+
+def ref_velocity(F, t):
+    v = mp.ZERO_FIELD
+    for term in F.terms:
+        s = term.scalar_deriv(t)
+        if s != 0.0:
+            v = ref_field_add(v, term.field.scale(s))
+    return v
+
+
+# t**2 + t**2 overflows to inf in the first term (a non-finite map) before
+# t**3 raises OverflowError in the second: the first error must win
+OVERFLOW_FIRST = (mp.MapFamily(
+    TENT, (mp.FamilyTerm(mp.bump_field(), (2, 2)),
+           mp.FamilyTerm(mp.odd_field(), (3,))), (-1e154, 1e154)), 1e154)
+
+
+class TestAssemblyBits:
+    """Assembly by coefficient arithmetic against numpy's polyadd chain:
+    the same bits, signed zeros included, and the same errors."""
+
+    @given(families(), proper_fields(), scalars)
+    @example(OVERFLOW_FIRST, mp.bump_field(), 0.5)
+    @settings(deadline=None, max_examples=300)
+    def test_family_assembly(self, ft, w, theta):
+        F, t = ft
+        for check in (False, True):
+            assert outcome(lambda: mp.family_eval(F, t, check)) == \
+                   outcome(lambda: ref_family_eval(F, t, check=check))
+            assert outcome(lambda: mp.family_eval(F, t, check, w, theta)) == \
+                   outcome(lambda: ref_family_eval(F, t, w, theta, check))
+        assert outcome(lambda: mp.family_velocity(F, t)) == \
+               outcome(lambda: ref_velocity(F, t))
+
+    @given(dyadic, loose_branches, loose_branches, proper_fields(), scalars)
+    @settings(deadline=None, max_examples=300)
+    def test_add_scaled(self, c, left, right, d, s):
+        f = mp.PiecewiseMap((c, *left), (c, *right))
+        assert outcome(lambda: f.add_scaled(d, s)) == \
+               outcome(lambda: ref_add_scaled(f, d, s))
+        # exact cancellation leaves trailing zeros that the sum must trim
+        g = mp.PiecewiseMap(d.left, d.right)
+        assert outcome(lambda: g.add_scaled(d, -1.0)) == \
+               outcome(lambda: ref_add_scaled(g, d, -1.0))
+
+    @given(dyadic, loose_branches, loose_branches, proper_fields(),
+           proper_fields())
+    @settings(deadline=None, max_examples=300)
+    def test_field_add(self, c, left, right, d, e):
+        u = mp.DirectionField((c, *left), (c, *right), relaxed=True)
+        for a, b in ((u, d), (d, u), (d, e), (d, d.scale(-1.0))):
+            assert outcome(lambda: a.add(b)) == outcome(
+                lambda: ref_field_add(a, b))
 
 
 class TestJFunctional:

@@ -86,6 +86,17 @@ class TestRunScan:
         with pytest.raises(PreconditionError):
             sc.run_scan(transversal_family, [0.0, 0.05])
 
+    @pytest.mark.parametrize("depths", [
+        {"kneading_depth": 0}, {"kneading_depth": -2}, {"relation_depth": 1}])
+    def test_unusable_depths_refused_before_any_node(
+            self, transversal_family, monkeypatch, depths):
+        def no_node(*args):
+            raise AssertionError("a node was evaluated")
+
+        monkeypatch.setattr(sc, "_node", no_node)
+        with pytest.raises(PreconditionError, match="depth must be >="):
+            sc.run_scan(transversal_family, [0.0, 0.01], **depths)
+
     def test_node_failures_recorded(self, golden):
         fam = mp.MapFamily(golden, (mp.FamilyTerm(mp.bump_field()),),
                            domain=(-0.7, 0.7))
@@ -315,6 +326,16 @@ class TestCli:
         assert cli.main(["scan", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 1
         assert "at least 2 points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [["--depth", "0"], ["--depth=-2"]])
+    def test_scan_depth_below_one_exits_1(self, tmp_path, capsys, depth):
+        cfg = _write_cfg(tmp_path / "c.json", {
+            "family": {"base": "golden_tent", "terms": [{"field": "bump"}]},
+            "grid": {"n": 5}})
+        assert cli.main(["scan", "--config", cfg,
+                         "--out", str(tmp_path / "o")] + depth) == 1
+        assert "kneading depth must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
 
     def test_cor52_grid_below_two_exits_1(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "c.json", {
