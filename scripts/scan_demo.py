@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Scan a one-parameter family for topological-class transitions and
-localize the critical-relation manifold by bisection."""
+localize them: kneading flips by safeguarded Newton on the critical orbit
+point whose symbol changes, and the critical-relation manifold by bisection
+on the kneading and relation signature."""
 
 import argparse
+from collections import Counter
 
 import numpy as np
 
@@ -26,6 +29,9 @@ def main() -> None:
     print(f"in-class: {res.in_class}   diagnostics consistent: {res.consistent}")
     print(f"transitions: {len(res.transitions)} "
           f"({sum(1 for t in res.transitions if t.localized)} localized)")
+    methods = Counter(t.method for t in res.transitions)
+    for method, count in sorted(methods.items()):
+        print(f"  {method}: {count}")
     rel = [t for t in res.transitions if "relations" in t.kinds]
     for t in rel:
         print(f"  relation manifold through t* = {t.t_star:+.3e} "

@@ -144,7 +144,8 @@ def emit_scan(result: ScanResult, out_dir) -> tuple[Path, Path]:
         "transitions": [{
             "t_lo": tr.t_lo, "t_hi": tr.t_hi, "t_star": tr.t_star,
             "width": tr.width, "kinds": list(tr.kinds),
-            "localized": tr.localized} for tr in result.transitions],
+            "localized": tr.localized, "method": tr.method,
+            "evaluations": tr.evaluations} for tr in result.transitions],
         "max_abs_j": result.max_abs_j,
         "threshold": result.threshold,
         "consistent": result.consistent,

@@ -1,6 +1,7 @@
 """Parameter sweeps with transition localization, and the workflows that
 orchestrate the deformation machinery into shippable experiments."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ from .functional import J_TOL, default_tol_w, grid_size, j_functional
 from .maps import (PERIOD_TOL, DirectionField, FamilyTerm, MapFamily,
                    PiecewiseMap, aux_dictionary, critical_relations,
                    detect_periodic_critical, family_eval, family_velocity,
-                   kneading)
+                   iterates, kneading)
 
 KNEADING_DEPTH = 30
 RELATION_DEPTH = 8
@@ -87,6 +88,8 @@ class Transition:
     width: float
     kinds: tuple[str, ...]  # subset of ("kneading", "relations")
     localized: bool
+    method: str             # "newton" | "bisection" | "grid"
+    evaluations: int        # maps assembled to localize it
 
 
 @dataclass(frozen=True)
@@ -133,13 +136,124 @@ def _node(src, t: float, kneading_depth: int, relation_depth: int,
 
 def _signature(src, t: float, kneading_depth: int, relation_depth: int,
                period_tol: float):
-    try:  # only polynomial families are bisected; the velocity is not needed
+    try:  # only polynomial families are localized; the velocity is not needed
         f = family_eval(src.family, t)
         return (kneading(f, kneading_depth).symbols,
                 critical_relations(f, relation_depth, tol=period_tol)
                 .relations)
     except PreconditionError:
         return None
+
+
+def _crossing_index(a: ScanRecord, b: ScanRecord) -> int | None:
+    """First differing kneading index i of a kneading-only change with L/R
+    at both ends, so that t -> f_t^i(c) changes sign across [a.t, b.t]."""
+    if a.relations != b.relations:
+        return None
+    i = next((k for k, (x, y) in enumerate(zip(a.kneading, b.kneading))
+              if x != y), None)
+    if i is None or a.kneading[i] == "C" or b.kneading[i] == "C":
+        return None
+    return i
+
+
+def _newton_crossing(F: MapFamily, t_lo: float, t_hi: float, i: int,
+                     rises: bool, width: float, cap: int):
+    """Zero of g(t) = f_t^i(c) in [t_lo, t_hi] by Newton kept inside the
+    bracket (Numerical Recipes' rtsafe, 9.4): a step that would leave the
+    bracket, or is longer than half the step before last, is replaced by a
+    bisection of the bracket.
+
+    ``rises`` says g < 0 at t_lo and g > 0 at t_hi (read off the kneading
+    symbols, so the ends are not evaluated).  g'(t) is the chain-rule sum
+    d_{k+1} = Df(x_k) d_k + v_t(x_k), d_0 = 0, along x_k = f_t^k(c).
+    Returns (root estimate or None, maps assembled); None when an iterate is
+    invalid, the orbit hits c exactly, or ``cap`` iterations do not bring
+    the step under width/8.
+    """
+    neg, pos = (t_lo, t_hi) if rises else (t_hi, t_lo)
+    t = 0.5 * (t_lo + t_hi)
+    step = step_old = t_hi - t_lo
+    for n in range(1, cap + 1):
+        try:
+            f, v = family_eval(F, t), family_velocity(F, t)
+            xs = iterates(f, i)
+            if 0.0 in xs[1:]:
+                return None, n
+            d = v.value(0.0)
+            for x in xs[1:i]:
+                d = f.deriv(x, 1) * d + v.value(x)
+        except PreconditionError:
+            return None, n
+        g = xs[i]
+        if g < 0.0:
+            neg = t
+        else:
+            pos = t
+        newton = g / d if d != 0.0 else math.inf
+        if (min(neg, pos) <= t - newton <= max(neg, pos)
+                and abs(2.0 * g) <= abs(step_old * d)):
+            step_old, step = step, newton
+            t -= step
+        else:
+            step_old, step = step, 0.5 * (pos - neg)
+            t = neg + step
+        if abs(step) <= 0.125 * width:
+            return t, n
+    return None, cap
+
+
+def _localize(src, a: ScanRecord, b: ScanRecord, width: float,
+              sig_args: tuple) -> Transition:
+    """Narrow the change between nodes a and b to at most ``width``.
+
+    A kneading-only change with L/R at its first differing index i is a
+    sign change of f_t^i(c): its root is found by `_newton_crossing` and
+    the bracket [t* - width/4, t* + width/4] (clipped to the grid
+    interval) is confirmed by two signatures.  Anything else, or a failed
+    or unconfirmed root, is bisected on the signature.  Endpoint
+    signatures come from the node records, which are the same values.
+    """
+    evaluations = 0
+    i = _crossing_index(a, b)
+    if i is not None and b.t - a.t > width:
+        cap = math.ceil(math.log2((b.t - a.t) / width))  # bisection's count
+        t_star, evaluations = _newton_crossing(
+            src.family, a.t, b.t, i, a.kneading[i] == "L", width, cap)
+        if t_star is not None:
+            t_lo = max(a.t, t_star - 0.25 * width)
+            t_hi = min(b.t, t_star + 0.25 * width)
+            sig_lo = _signature(src, t_lo, *sig_args)
+            sig_hi = _signature(src, t_hi, *sig_args)
+            evaluations += 2
+            if None not in (sig_lo, sig_hi) and sig_lo != sig_hi:
+                return Transition(t_lo, t_hi, 0.5 * (t_lo + t_hi),
+                                  t_hi - t_lo, _changed(sig_lo, sig_hi),
+                                  t_hi - t_lo <= width, "newton", evaluations)
+    t_lo, t_hi = a.t, b.t
+    sig_lo, sig_hi = (a.kneading, a.relations), (b.kneading, b.relations)
+    while t_hi - t_lo > width:
+        mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < mid < t_hi:
+            break  # adjacent floats: a width below their spacing is unmet
+        sig_mid = _signature(src, mid, *sig_args)
+        evaluations += 1
+        if sig_mid == sig_lo:
+            t_lo = mid
+        else:
+            t_hi, sig_hi = mid, sig_mid
+    # an interval can hold several change points; report what actually
+    # differs across the final bracket (the nodes' change if its end failed)
+    kinds = _changed(sig_lo, (b.kneading, b.relations) if sig_hi is None
+                     else sig_hi)
+    return Transition(t_lo, t_hi, 0.5 * (t_lo + t_hi), t_hi - t_lo, kinds,
+                      t_hi - t_lo <= width, "bisection", evaluations)
+
+
+def _changed(sig_a, sig_b) -> tuple[str, ...]:
+    return tuple(k for k, changed in (
+        ("kneading", sig_a[0] != sig_b[0]),
+        ("relations", sig_a[1] != sig_b[1])) if changed)
 
 
 def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
@@ -150,18 +264,26 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
     """Per-node diagnostics over a grid, with class-transition localization.
 
     A transition is an adjacent pair whose depth-30 kneading prefix or
-    canonical relation set differs; on polynomial families it is narrowed
-    by bisection to the requested width.  Sampled families cannot be
-    evaluated between nodes, so their transitions keep the grid width and
-    are marked unlocalized.  Node failures become error records and the
-    scan continues; the A<=>D diagnostic (no transitions <=> max|J| under
-    max(10*tail, floor)) is recorded, not enforced.  Depths that no node
-    could use are refused before any node is evaluated.
+    canonical relation set differs.  On polynomial families it is narrowed
+    to the requested width: a kneading-only change by safeguarded Newton
+    on the orbit point whose symbol flips, confirmed by two signatures,
+    and everything else (relation changes, a C symbol, a failed or
+    unconfirmed root) by bisection on the signature.  Each transition
+    records its method and the maps assembled for it.  Sampled families
+    cannot be evaluated between nodes, so their transitions keep the grid
+    width and are marked unlocalized.  Node failures become error records
+    and the scan continues; the A<=>D diagnostic (no transitions <=>
+    max|J| under max(10*tail, floor)) is recorded, not enforced.  Depths,
+    widths and grids that no scan could use are refused before any node
+    is evaluated; the grid must increase strictly.
     """
     if kneading_depth < 1 or relation_depth < 2:
         raise PreconditionError(
             "kneading depth must be >= 1 and relation depth >= 2, got "
             f"{kneading_depth} and {relation_depth}")
+    if not (math.isfinite(width) and width > 0.0):
+        raise PreconditionError(
+            f"transition width must be finite and > 0, got {width!r}")
     src = _source(family)
     if t_grid is None:
         if src.continuous:
@@ -177,47 +299,30 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
         if not src.continuous and t not in src._by_t:
             raise PreconditionError(
                 f"sampled family has no node at t = {t!r}")
+    for s, t in zip(grid, grid[1:]):
+        if not s < t:
+            raise PreconditionError(
+                f"grid must increase strictly, got t = {s!r} then {t!r}")
     if not grid:
         return ScanResult((), (), None, j_zero_tol, True)
 
     records = [_node(src, t, kneading_depth, relation_depth, period_tol,
                      j_tol) for t in grid]
 
+    sig_args = (kneading_depth, relation_depth, period_tol)
     transitions = []
     for a, b in zip(records, records[1:]):
         if a.classification == "error" or b.classification == "error":
             continue
-        kinds = tuple(k for k, changed in (
-            ("kneading", a.kneading != b.kneading),
-            ("relations", a.relations != b.relations)) if changed)
+        kinds = _changed((a.kneading, a.relations), (b.kneading, b.relations))
         if not kinds:
             continue
         if src.continuous and localize:
-            t_lo, t_hi = a.t, b.t
-            sig_lo = _signature(src, t_lo, kneading_depth, relation_depth,
-                                period_tol)
-            sig_hi = _signature(src, t_hi, kneading_depth, relation_depth,
-                                period_tol)
-            while t_hi - t_lo > width:
-                mid = 0.5 * (t_lo + t_hi)
-                sig_mid = _signature(src, mid, kneading_depth,
-                                     relation_depth, period_tol)
-                if sig_mid == sig_lo:
-                    t_lo = mid
-                else:
-                    t_hi, sig_hi = mid, sig_mid
-            # an interval can hold several change points; report what
-            # actually differs across the final bracket
-            if sig_lo is not None and sig_hi is not None:
-                kinds = tuple(k for k, changed in (
-                    ("kneading", sig_lo[0] != sig_hi[0]),
-                    ("relations", sig_lo[1] != sig_hi[1])) if changed)
-            transitions.append(Transition(
-                t_lo, t_hi, 0.5 * (t_lo + t_hi), t_hi - t_lo, kinds, True))
+            transitions.append(_localize(src, a, b, width, sig_args))
         else:
             w = b.t - a.t
             transitions.append(Transition(
-                a.t, b.t, 0.5 * (a.t + b.t), w, kinds, w <= width))
+                a.t, b.t, 0.5 * (a.t + b.t), w, kinds, w <= width, "grid", 0))
 
     mags = []
     max_tail = 0.0

@@ -371,3 +371,25 @@ class TestScanDeterminism:
         grid = np.linspace(-0.015, 0.015, n)
         assert sc.run_scan(fam, grid, localize=False) == \
                sc.run_scan(fam, grid, localize=False)
+
+
+class TestScanBrackets:
+    @given(slopes, st.sampled_from(["tent_profile", "bump"]),
+           st.floats(0.05, 1.0), st.booleans())
+    @settings(deadline=None, max_examples=25)
+    def test_localized_brackets_hold_a_change(self, slope, name, a, flip):
+        field = mp.BUILTIN_FIELDS[name]().scale(-a if flip else a)
+        fam = mp.MapFamily(mp.symmetric_tent(slope), (mp.FamilyTerm(field),),
+                           domain=(-0.02, 0.02))
+        grid = np.linspace(-0.02, 0.02, 21)
+        res = sc.run_scan(fam, grid)
+        src = sc._source(fam)
+        for tr in res.transitions:
+            assert tr.localized and tr.method in ("newton", "bisection")
+            assert tr.t_lo < tr.t_hi and tr.width <= sc.TRANSITION_WIDTH
+            assert any(s <= tr.t_lo and tr.t_hi <= t
+                       for s, t in zip(grid, grid[1:]))
+            ends = [sc._signature(src, t, sc.KNEADING_DEPTH,
+                                  sc.RELATION_DEPTH, mp.PERIOD_TOL)
+                    for t in (tr.t_lo, tr.t_hi)]
+            assert ends[0] != ends[1]

@@ -1,6 +1,7 @@
 """Grid scans, transition localization, workflows, and the CLI contract."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -87,15 +88,22 @@ class TestRunScan:
             sc.run_scan(transversal_family, [0.0, 0.05])
 
     @pytest.mark.parametrize("depths", [
-        {"kneading_depth": 0}, {"kneading_depth": -2}, {"relation_depth": 1}])
+        {"kneading_depth": 0}, {"kneading_depth": -2}, {"relation_depth": 1},
+        {"width": 0.0}, {"width": -1.0}, {"width": float("nan")},
+        {"width": float("inf")}, {"t_grid": [0.01, 0.0]},
+        {"t_grid": [0.0, 0.01, 0.01]}])
     def test_unusable_depths_refused_before_any_node(
             self, transversal_family, monkeypatch, depths):
         def no_node(*args):
             raise AssertionError("a node was evaluated")
 
         monkeypatch.setattr(sc, "_node", no_node)
-        with pytest.raises(PreconditionError, match="depth must be >="):
-            sc.run_scan(transversal_family, [0.0, 0.01], **depths)
+        match = ("width must be finite" if "width" in depths
+                 else "grid must increase" if "t_grid" in depths
+                 else "depth must be >=")
+        kwargs = {"t_grid": [0.0, 0.01], **depths}
+        with pytest.raises(PreconditionError, match=match):
+            sc.run_scan(transversal_family, **kwargs)
 
     def test_node_failures_recorded(self, golden):
         fam = mp.MapFamily(golden, (mp.FamilyTerm(mp.bump_field()),),
@@ -109,6 +117,115 @@ class TestRunScan:
     def test_sampled_source_foreign_node(self, horizontal_tilde):
         with pytest.raises(PreconditionError):
             sc.run_scan(horizontal_tilde, [0.012345])
+
+
+def _bisected(src, a, b, width):
+    """The signature bisection of a node pair, written out independently."""
+    t_lo, t_hi = a.t, b.t
+    sig_lo, sig_hi = (a.kneading, a.relations), (b.kneading, b.relations)
+    kinds = sc._changed(sig_lo, sig_hi)
+    while t_hi - t_lo > width:
+        mid = 0.5 * (t_lo + t_hi)
+        sig = sc._signature(src, mid, sc.KNEADING_DEPTH, sc.RELATION_DEPTH,
+                            mp.PERIOD_TOL)
+        if sig == sig_lo:
+            t_lo = mid
+        else:
+            t_hi, sig_hi = mid, sig
+    if sig_hi is not None:
+        kinds = sc._changed(sig_lo, sig_hi)
+    return t_lo, t_hi, kinds
+
+
+class TestNewtonLocalization:
+    @pytest.fixture(scope="class")
+    def tent_window(self):
+        return mp.MapFamily(mp.symmetric_tent(1.6),
+                            (mp.FamilyTerm(mp.tent_profile_field()),),
+                            domain=(-0.02, 0.02))
+
+    @pytest.mark.parametrize("name", ["transversal_family", "tent_window"])
+    def test_evaluation_budget(self, request, monkeypatch, name):
+        fam = request.getfixturevalue(name)
+        counts = {"signature": 0, "maps": 0}
+        signature, family_eval = sc._signature, sc.family_eval
+
+        def counted_signature(*args):
+            counts["signature"] += 1
+            return signature(*args)
+
+        def counted_eval(*args, **kwargs):
+            counts["maps"] += 1
+            return family_eval(*args, **kwargs)
+
+        spent = []
+        localize = sc._localize
+
+        def recorded(*args):
+            before = dict(counts)
+            tr = localize(*args)
+            spent.append((tr, {k: counts[k] - before[k] for k in counts}))
+            return tr
+
+        monkeypatch.setattr(sc, "_signature", counted_signature)
+        monkeypatch.setattr(sc, "family_eval", counted_eval)
+        monkeypatch.setattr(sc, "_localize", recorded)
+        res = sc.run_scan(fam, np.linspace(-0.02, 0.02, 101))
+        assert [tr for tr, _ in spent] == list(res.transitions)
+        methods = {tr.method for tr in res.transitions}
+        assert "newton" in methods and methods <= {"newton", "bisection"}
+        for tr, cost in spent:
+            assert cost["signature"] == {"newton": 2, "bisection": 16}[
+                tr.method]
+            assert cost["maps"] == tr.evaluations
+            if tr.method == "newton":
+                assert 3 <= tr.evaluations <= 2 + 16
+
+    def test_golden_crossing_bracket_bits(self, transversal_family):
+        res = sc.run_scan(transversal_family, np.linspace(-0.02, 0.02, 101))
+        (rel,) = [t for t in res.transitions if "relations" in t.kinds]
+        assert rel.method == "bisection" and rel.evaluations == 16
+        assert rel.t_lo == 0.0 and rel.t_hi == 6.103515625000016e-09
+
+    @pytest.mark.parametrize("failure", ["no root", "wrong root"])
+    def test_failed_newton_falls_back_to_bisection(
+            self, transversal_family, monkeypatch, failure):
+        def failing(F, t_lo, t_hi, i, rises, width, cap):
+            # "wrong root": the grid end, whose confirming signatures agree
+            return (None, 0) if failure == "no root" else (t_lo, 3)
+
+        grid = np.linspace(-0.02, 0.02, 41)
+        monkeypatch.setattr(sc, "_newton_crossing", failing)
+        res = sc.run_scan(transversal_family, grid)
+        src = sc._source(transversal_family)
+        pairs = {(a.t, b.t): (a, b)
+                 for a, b in zip(res.records, res.records[1:])}
+        assert len(res.transitions) == 40
+        for tr in res.transitions:
+            a, b = next(pairs[k] for k in pairs
+                        if k[0] <= tr.t_lo < tr.t_hi <= k[1])
+            t_lo, t_hi, kinds = _bisected(src, a, b, sc.TRANSITION_WIDTH)
+            assert (tr.t_lo, tr.t_hi, tr.kinds) == (t_lo, t_hi, kinds)
+            assert tr.t_star == 0.5 * (t_lo + t_hi)
+            assert tr.width == t_hi - t_lo and tr.method == "bisection"
+            newton = 3 + 2 if failure == "wrong root" and \
+                sc._crossing_index(a, b) is not None else 0
+            assert tr.evaluations == 17 + newton
+
+    def test_width_below_float_spacing_ends(self, transversal_family):
+        # near t = 0.01 adjacent floats are 1.7e-18 apart, so a 1e-20
+        # bracket cannot exist; the bisection stops at adjacent floats
+        res = sc.run_scan(transversal_family, [0.01, 0.0104], width=1e-20)
+        (tr,) = res.transitions
+        assert tr.method == "bisection" and not tr.localized
+        assert math.nextafter(tr.t_lo, 1.0) == tr.t_hi
+
+    def test_unlocalized_transitions_say_grid(self, transversal_family):
+        res = sc.run_scan(transversal_family, np.linspace(-0.02, 0.02, 11),
+                          localize=False)
+        assert res.transitions
+        assert all(t.method == "grid" and t.evaluations == 0
+                   and not t.localized for t in res.transitions)
 
 
 class TestTangentDeformation:
@@ -336,6 +453,30 @@ class TestCli:
                          "--out", str(tmp_path / "o")] + depth) == 1
         assert "kneading depth must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o" / "summary.json").exists()
+
+    @pytest.mark.parametrize("grid", [
+        {"lo": 0.02, "hi": -0.02, "n": 11}, [-0.01, 0.0, 0.0, 0.01]])
+    def test_scan_grid_not_increasing_exits_1(self, tmp_path, capsys, grid):
+        cfg = _write_cfg(tmp_path / "c.json", {
+            "family": {"base": "golden_tent", "terms": [{"field": "bump"}]},
+            "grid": grid})
+        assert cli.main(["scan", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 1
+        assert "grid must increase strictly" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
+
+    def test_scan_summary_says_how_localized(self, tmp_path):
+        cfg = _write_cfg(tmp_path / "c.json", {
+            "family": {"base": "golden_tent", "terms": [{"field": "bump"}]},
+            "grid": {"n": 11}})
+        assert cli.main(["scan", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        summ = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summ["schema_version"] == 1 and summ["transitions"]
+        for tr in summ["transitions"]:
+            assert tr["method"] in ("newton", "bisection")
+            assert tr["evaluations"] >= {"newton": 3, "bisection": 1}[
+                tr["method"]]
 
     def test_cor52_grid_below_two_exits_1(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "c.json", {
