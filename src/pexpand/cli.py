@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON file describing maps/fields/families")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--tol", type=float, default=None,
-                         help="command-specific tolerance override")
+                         help="command-specific tolerance override "
+                              "(finite and > 0)")
         cmd.add_argument("--depth", type=int, default=None,
                          help="kneading / table depth override")
         cmd.add_argument("--grid", type=int, default=None,
@@ -207,6 +208,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.tol is not None:  # one contract for every command's --tol
+            _functional._check_tol(args.tol)
         cfg = _io.load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

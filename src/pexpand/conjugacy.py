@@ -87,8 +87,8 @@ def _word_of(symbols) -> str:
     return word
 
 
-def point_from_itinerary(f: PiecewiseMap, symbols, n: int | None = None,
-                         tol_c: float = TOL_C) -> RealizedPoint:
+def point_from_itinerary(f: PiecewiseMap, symbols,
+                         n: int | None = None) -> RealizedPoint:
     """Realize the point whose depth-n itinerary is the given word.
 
     Backward inverse-branch composition from the interior anchor 0, each
@@ -127,10 +127,10 @@ def point_from_itinerary(f: PiecewiseMap, symbols, n: int | None = None,
     # accumulated error (or the chain was truncated by the clamp); past
     # the first sub-resolution index the tail is accepted uncertified.
     lam = lambda_of(f)
-    amp = 10.0 * INVERSE_TOL * lam / (lam - 1.0) + tol_c
+    amp = 10.0 * INVERSE_TOL * lam / (lam - 1.0) + TOL_C
     truncated = excess > ADMIT_TOL
-    for i, (s, z) in enumerate(zip(word, orbit(f, x, tol_c))):
-        here = "C" if abs(z) < tol_c else ("L" if z < 0.0 else "R")
+    for i, (s, z) in enumerate(zip(word, orbit(f, x))):
+        here = "C" if abs(z) < TOL_C else ("L" if z < 0.0 else "R")
         if here != s:
             if truncated or abs(z) > amp:
                 raise NoPointError(
@@ -149,20 +149,19 @@ class ConjugateResult:
 
 
 def conjugate_point(f0: PiecewiseMap, f1: PiecewiseMap, x: float,
-                    n: int = DEPTH_DEFAULT,
-                    tol_c: float = TOL_C) -> ConjugateResult:
+                    n: int = DEPTH_DEFAULT) -> ConjugateResult:
     """h(x) for the conjugacy h with h o f0 = f1 o h, by word transfer.
 
     Only orbit-safe points are conjugated: a C symbol after index 0 means
     the orbit of x enters the critical band, where the word no longer
     determines a unique point at this depth.
     """
-    word = itinerary(f0, x, n, tol_c).symbols
+    word = itinerary(f0, x, n).symbols
     idx = word.find("C", 1)
     if idx >= 1:
         raise OrbitRefusedError(
             f"orbit of {x!r} enters the critical band at index {idx}", idx)
-    rp = point_from_itinerary(f1, word, n, tol_c)
+    rp = point_from_itinerary(f1, word, n)
     return ConjugateResult(rp.x, rp.bound, word)
 
 
@@ -182,13 +181,10 @@ class TableEntry:
 class ConjugacyTable:
     entries: tuple[TableEntry, ...]
     depth: int
-    source: str = "f0"
-    target: str = "f1"
 
     @classmethod
     def from_words(cls, f0: PiecewiseMap, f1: PiecewiseMap, words,
-                   depth: int = DEPTH_DEFAULT, source: str = "f0",
-                   target: str = "f1") -> "ConjugacyTable":
+                   depth: int = DEPTH_DEFAULT) -> "ConjugacyTable":
         rows = []
         for w in words:
             rx = point_from_itinerary(f0, w, depth)
@@ -196,7 +192,7 @@ class ConjugacyTable:
             rows.append(TableEntry(rx.x, rx.word, ry.x,
                                    max(rx.bound, ry.bound)))
         rows.sort(key=lambda e: e.x)
-        return cls(tuple(rows), depth, source, target)
+        return cls(tuple(rows), depth)
 
     def sources(self) -> tuple[float, ...]:
         return tuple(e.x for e in self.entries)
@@ -387,11 +383,11 @@ class LipschitzReport:
     x: float
 
 
-def lipschitz_estimate(tilde, x: float, t_grid=None,
-                       depth: int = DEPTH_DEFAULT) -> LipschitzReport:
+def lipschitz_estimate(tilde, x: float, t_grid=None) -> LipschitzReport:
     """Empirical Lipschitz constant of t -> h_t(x) over a sampled family.
 
-    h_t conjugates the t = 0 sample to the t sample.  Reported next to
+    h_t conjugates the t = 0 sample to the t sample, by words of depth
+    DEPTH_DEFAULT.  Reported next to
     sup|d/dt f_t| / (1 - lambda^-1), the shape of the a-priori bound (the
     constant in front is unknown, so nothing is asserted about the ratio).
     """
@@ -399,12 +395,13 @@ def lipschitz_estimate(tilde, x: float, t_grid=None,
     if len(ts) < 2:
         raise PreconditionError("need at least 2 grid nodes")
     base = tilde.map_at(0.0)
-    word = itinerary(base, x, depth).symbols
+    word = itinerary(base, x, DEPTH_DEFAULT).symbols
     idx = word.find("C", 1)
     if idx >= 1:
         raise OrbitRefusedError(
             f"orbit of {x!r} enters the critical band at index {idx}", idx)
-    hs = [point_from_itinerary(tilde.map_at(t), word, depth).x for t in ts]
+    hs = [point_from_itinerary(tilde.map_at(t), word, DEPTH_DEFAULT).x
+          for t in ts]
     constant = max(abs(hs[i + 1] - hs[i]) / abs(ts[i + 1] - ts[i])
                    for i in range(len(ts) - 1))
     sup_vel = 0.0

@@ -30,14 +30,14 @@ from .errors import (
     PreconditionError,
 )
 from .functional import (
-    J_TOL,
     default_tol_w,
     j_pair,
     j_periodic_sum,
 )
 from .maps import (
+    HYSTERESIS,
+    KNEADING_DEPTH,
     PERIOD_TOL,
-    TOL_C,
     DirectionField,
     Itinerary,
     MapFamily,
@@ -71,10 +71,10 @@ class SlopeValue:
     manifold_residual: float | None  # |f^p(c) - c| when a period is tracked
 
 
-def _node_at(nodes, t: float, atol: float):
-    """The node (or sample) of a result whose t is within atol of t."""
+def _node_at(nodes, t: float):
+    """The node (or sample) of a result whose t is within 1e-12 of t."""
     for n in nodes:
-        if abs(n.t - t) <= atol:
+        if abs(n.t - t) <= 1e-12:
             return n
     raise PreconditionError(f"no node at t={t!r}")
 
@@ -122,19 +122,17 @@ def _sweep(t_range: tuple[float, float], center, x0, h0: float, h_min: float,
 
 def slope_field(F: MapFamily, w: DirectionField, t: float, theta: float,
                 relation_period: int | None = None,
-                band: float = MANIFOLD_BAND, j_tol: float = J_TOL,
-                tol_w: float | None = None,
-                period_tol: float = PERIOD_TOL) -> SlopeValue:
+                band: float = MANIFOLD_BAND) -> SlopeValue:
     """Kernel slope d(t, theta) with the matched-mode policy near the manifold.
 
     With ``relation_period`` p given and the assembled map within ``band``
     of the relation, both J values are p-term periodic sums; otherwise the
     classification of the assembled map decides (a hysteresis-band
     ambiguity also resolves to the matched periodic pair, whose ratio is
-    the continuous reading).
+    the continuous reading).  |J(f, w)| at or below ``default_tol_w(w)``
+    is refused as degenerate.
     """
-    if tol_w is None:
-        tol_w = default_tol_w(w)
+    tol_w = default_tol_w(w)
     g = family_eval(F, t, w=w, theta=theta)
     v = family_velocity(F, t)
     orb = manifold_res = p_used = None
@@ -145,10 +143,10 @@ def slope_field(F: MapFamily, w: DirectionField, t: float, theta: float,
         if manifold_res < band:
             p_used = relation_period
     if p_used is None:
-        det = detect_periodic_critical(g, tol=period_tol)
+        det = detect_periodic_critical(g)
         qs = [det.period] if det.period is not None else []
         p_used = min(qs + [q for q, _ in det.ambiguous], default=None)
-    jv, jw = j_pair(g, v, w, j_tol, p_used, orb)
+    jv, jw = j_pair(g, v, w, p_used, orb)
     mode = "series-pair" if p_used is None else "periodic-pair"
     if abs(jw) <= tol_w:
         raise DegenerateDirectionError(
@@ -195,8 +193,8 @@ class DeformationTrace:
     def bs(self) -> tuple[float, ...]:
         return tuple(n.b for n in self.nodes)
 
-    def node_at(self, t: float, atol: float = 1e-12) -> TraceNode:
-        return _node_at(self.nodes, t, atol)
+    def node_at(self, t: float) -> TraceNode:
+        return _node_at(self.nodes, t)
 
     def map_at(self, t: float) -> PiecewiseMap:
         n = self.node_at(t)
@@ -206,10 +204,8 @@ class DeformationTrace:
 def integrate_deformation(F: MapFamily, w: DirectionField,
                           t_range: tuple[float, float] | None = None,
                           h0: float = H0, ode_tol: float = ODE_TOL,
-                          h_min: float = H_MIN, adaptive: bool = True,
-                          band: float = MANIFOLD_BAND,
-                          j_tol: float = J_TOL,
-                          tol_w: float | None = None) -> DeformationTrace:
+                          h_min: float = H_MIN,
+                          adaptive: bool = True) -> DeformationTrace:
     """Integrate db/dt = d(t, b(t)), b(0) = 0 over t_range.
 
     Steps are accepted when the Richardson estimate |b_h - b_{h/2}|/15 of
@@ -233,8 +229,6 @@ def integrate_deformation(F: MapFamily, w: DirectionField,
     p_rel = good0.period
     canonical = critical_relations(f0, depth=8).canonical
     depth = max((j for _, j in canonical), default=0)
-    if tol_w is None:
-        tol_w = default_tol_w(w)
     w0 = w.value(0.0)
 
     dom_lo, dom_hi = F.domain
@@ -246,8 +240,7 @@ def integrate_deformation(F: MapFamily, w: DirectionField,
         # each (t, b) once: a step's k1 is its start node's slope (clamped
         # or not), shared by the big step, the first half step and retries
         if (t, b) not in slopes:
-            slopes[t, b] = slope_field(F, w, t, b, relation_period=p_rel,
-                                       band=band, j_tol=j_tol, tol_w=tol_w)
+            slopes[t, b] = slope_field(F, w, t, b, relation_period=p_rel)
         return slopes[t, b]
 
     def rk4(t: float, b: float, h: float) -> float:
@@ -326,29 +319,28 @@ class TildeFamily:
     def ts(self) -> tuple[float, ...]:
         return tuple(s.t for s in self.samples)
 
-    def map_at(self, t: float, atol: float = 1e-12) -> PiecewiseMap:
-        return _node_at(self.samples, t, atol).map
+    def map_at(self, t: float) -> PiecewiseMap:
+        return _node_at(self.samples, t).map
 
 
 def build_tilde_family(F: MapFamily, w: DirectionField,
-                       trace: DeformationTrace, kneading_depth: int = 30,
-                       strict: bool = True,
-                       tol_c: float = TOL_C) -> TildeFamily:
+                       trace: DeformationTrace,
+                       strict: bool = True) -> TildeFamily:
     """Materialize f~_t = f_t + b(t) w at the trace nodes and certify.
 
-    Every sample must validate, and the depth-``kneading_depth`` kneading
+    Every sample must validate, and the depth-KNEADING_DEPTH kneading
     prefix must match the base sample's.  A mismatch means the accepted
     steps were too loose to preserve the topological class: raised as
     drift when strict, recorded otherwise.
     """
     samples = []
     drift = None
-    base = kneading(family_eval(F, 0.0, check=False), kneading_depth, tol_c)
+    base = kneading(family_eval(F, 0.0, check=False), KNEADING_DEPTH)
     for idx, node in enumerate(trace.nodes):
         g = family_eval(F, node.t, w=w, theta=node.b)
         vel = family_velocity(F, node.t).add(w.scale(node.d))
         samples.append(TildeSample(node.t, g, vel))
-        kn = kneading(g, kneading_depth, tol_c)
+        kn = kneading(g, KNEADING_DEPTH)
         if kn.symbols != base.symbols:
             if strict:
                 raise KneadingDriftError(
@@ -374,9 +366,9 @@ class ThetaRoot:
 
 
 def _newton(F: MapFamily, w: DirectionField, p: int, t: float, theta: float,
-            newton_tol: float, max_iter: int):
-    """Newton root of theta -> f_{(t,theta)}^p(c) - c: theta, its map g, the
-    orbit c..g^p(c), and the iterations used.
+            max_iter: int):
+    """Newton root of theta -> f_{(t,theta)}^p(c) - c to NEWTON_TOL: theta,
+    its map g, the orbit c..g^p(c), and the iterations used.
 
     The derivative is the exact chain-rule value Df^{p-1}(f(c)) * J_p(g, w);
     trial points that assemble to invalid maps are damped back toward the
@@ -386,7 +378,7 @@ def _newton(F: MapFamily, w: DirectionField, p: int, t: float, theta: float,
     for it in range(1, max_iter + 1):
         orb = critical_orbit(g, p, tol_c=0.0)
         xs = orb.points
-        if abs(xs[p]) < newton_tol:
+        if abs(xs[p]) < NEWTON_TOL:
             return theta, g, xs, it
         if len(orb.products) < p:
             raise NewtonDivergenceError(
@@ -412,25 +404,24 @@ def _newton(F: MapFamily, w: DirectionField, p: int, t: float, theta: float,
 
 
 def find_periodic_theta(F: MapFamily, w: DirectionField, p: int,
-                        theta0: float = 0.0, t: float = 0.0,
-                        newton_tol: float = NEWTON_TOL, max_iter: int = 50,
-                        period_tol: float = PERIOD_TOL) -> ThetaRoot:
-    """Newton root of theta -> f_{(t,theta)}^p(c) - c (see ``_newton``).
+                        theta0: float = 0.0, t: float = 0.0) -> ThetaRoot:
+    """Newton root of theta -> f_{(t,theta)}^p(c) - c (see ``_newton``),
+    in at most 50 iterations.
 
     The converged root must have prime period p.
     """
     if p < 2:
         raise PreconditionError("period must be >= 2")
-    theta, g, xs, it = _newton(F, w, p, t, theta0, newton_tol, max_iter)
+    theta, g, xs, it = _newton(F, w, p, t, theta0, 50)
     for q in range(1, p):
         rq = abs(xs[q])
-        if rq < period_tol:
+        if rq < PERIOD_TOL:
             raise PreconditionError(
                 f"root at theta={theta!r} has prime period {q} < {p}")
-        if rq < 10.0 * period_tol:
+        if rq < HYSTERESIS * PERIOD_TOL:
             raise AmbiguousPeriodicityError(
                 f"prime-period check ambiguous at q={q}", ((q, rq),))
-    margin = is_good(g, tol=period_tol).margin
+    margin = is_good(g).margin
     return ThetaRoot(theta, abs(xs[p]), it, p, margin, g)
 
 
@@ -456,8 +447,8 @@ class PeriodicContinuation:
     def ts(self) -> tuple[float, ...]:
         return tuple(n.t for n in self.nodes)
 
-    def node_at(self, t: float, atol: float = 1e-12) -> ContinuationNode:
-        return _node_at(self.nodes, t, atol)
+    def node_at(self, t: float) -> ContinuationNode:
+        return _node_at(self.nodes, t)
 
     def map_at(self, t: float) -> PiecewiseMap:
         n = self.node_at(t)
@@ -483,23 +474,20 @@ class PeriodicContinuation:
 
 
 def continue_periodic(F: MapFamily, w: DirectionField, p: int, theta0: float,
-                      t_range: tuple[float, float] | None = None,
-                      h: float = H0, newton_tol: float = NEWTON_TOL,
-                      period_tol: float = PERIOD_TOL,
-                      max_newton: int = 30) -> PeriodicContinuation:
-    """Predictor-corrector continuation of the period-p critical relation.
+                      h: float = H0) -> PeriodicContinuation:
+    """Predictor-corrector continuation of the period-p critical relation
+    over the family's domain.
 
     Euler predictor with slope -J_p(g, v_t)/J_p(g, w), Newton corrector
-    back onto f^p(c) = c at each node; the prime period must stay p, a
-    change aborts the sweep and records the node index.
+    (at most 30 iterations) back onto f^p(c) = c at each node; the prime
+    period must stay p, a change aborts the sweep and records the node
+    index.
     """
     if p < 1:
         raise PreconditionError("period must be >= 1")
-    if t_range is None:
-        t_range = F.domain
-    t_lo, t_hi = t_range
+    t_lo, t_hi = F.domain
     if not t_lo <= 0.0 <= t_hi:
-        raise PreconditionError("t_range must contain t = 0")
+        raise PreconditionError("family domain must contain t = 0")
 
     def slope_at(t: float, theta: float) -> float:
         return slope_field(F, w, t, theta, relation_period=p,
@@ -507,24 +495,22 @@ def continue_periodic(F: MapFamily, w: DirectionField, p: int, theta0: float,
 
     def advance(t: float, prev: ContinuationNode, h: float, t_next: float):
         guess = prev.theta + h * prev.slope
-        theta, _, xs, iters = _newton(F, w, p, t_next, guess, newton_tol,
-                                      max_newton)
+        theta, _, xs, iters = _newton(F, w, p, t_next, guess, 30)
         for q in range(1, p):
-            if abs(xs[q]) < 10.0 * period_tol:
+            if abs(xs[q]) < HYSTERESIS * PERIOD_TOL:
                 raise PreconditionError(f"prime period changed to <= {q}")
         node = ContinuationNode(t_next, theta, slope_at(t_next, theta),
                                 abs(xs[p]), iters)
         return node, node
 
     res0 = abs(iterates(family_eval(F, 0.0, w=w, theta=theta0), p)[p])
-    if res0 > 10.0 * newton_tol:
-        theta0, _, xs, _ = _newton(F, w, p, 0.0, theta0, newton_tol,
-                                   max_newton)
+    if res0 > 10.0 * NEWTON_TOL:
+        theta0, _, xs, _ = _newton(F, w, p, 0.0, theta0, 30)
         res0 = abs(xs[p])
     center = ContinuationNode(0.0, theta0, slope_at(0.0, theta0), res0, 0)
     # the corrector keeps the step h: any failed node ends its side
     nodes, truncated = _sweep(
-        t_range, center, center, h, h, advance,
+        F.domain, center, center, h, h, advance,
         (PreconditionError, NewtonDivergenceError))
     return PeriodicContinuation(p, theta0, F, w, nodes, truncated)
 
@@ -541,25 +527,24 @@ class TransversalReport:
     p: int
 
 
-def transversal_derivative(F: MapFamily, p: int, t0: float = 0.0,
-                           fd_h: float = 1e-6,
-                           period_tol: float = PERIOD_TOL) -> TransversalReport:
-    """d/dt[f_t^p(c)] at a periodic parameter, two independent ways.
+def transversal_derivative(F: MapFamily, p: int) -> TransversalReport:
+    """d/dt[f_t^p(c)] at t = 0, where c is period p, two independent ways.
 
-    Chain-rule value Df^{p-1}(f(c)) * J_p(f, v_t) against a central
-    difference of t -> f_t^p(c); their gap quantifies the exactness of
-    the velocity bookkeeping.
+    Chain-rule value Df^{p-1}(f(c)) * J_p(f, v_0) against a central
+    difference of t -> f_t^p(c) with step 1e-6; their gap quantifies the
+    exactness of the velocity bookkeeping.
     """
-    f = family_eval(F, t0)
-    det = detect_periodic_critical(f, tol=period_tol)
+    f = family_eval(F, 0.0)
+    det = detect_periodic_critical(f)
     if not det.clean or det.period != p:
         raise PreconditionError(
-            f"critical point is not cleanly period-{p} at t0={t0!r} "
+            f"critical point is not cleanly period-{p} at t = 0 "
             f"(detected {det.period!r})")
     orb = critical_orbit(f, p, tol_c=0.0)
-    chain = orb.products[p - 1] * j_periodic_sum(f, family_velocity(F, t0), p,
-                                                 orb)
-    g_hi = family_eval(F, t0 + fd_h, check=False)
-    g_lo = family_eval(F, t0 - fd_h, check=False)
-    fd = (iterates(g_hi, p)[p] - iterates(g_lo, p)[p]) / (2.0 * fd_h)
+    chain = orb.products[p - 1] * j_periodic_sum(f, family_velocity(F, 0.0),
+                                                 p, orb)
+    h = 1e-6
+    g_hi = family_eval(F, h, check=False)
+    g_lo = family_eval(F, -h, check=False)
+    fd = (iterates(g_hi, p)[p] - iterates(g_lo, p)[p]) / (2.0 * h)
     return TransversalReport(chain, fd, abs(chain - fd), p)

@@ -31,6 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .maps import (
+    P_MAX,
     PERIOD_TOL,
     TOL_C,
     CriticalOrbit,
@@ -48,6 +49,7 @@ from .maps import (
 
 J_TOL = 1e-12      # default series truncation tolerance
 ALPHA_TOL = 1e-12
+HORIZONTAL_TOL = 1e-9  # |J| at or below this counts as horizontal
 SIDE_TAIL = 1e-12  # summation floor for the C+- series
 # Series depth grows like 1/(lambda_f - 1); a valid map with lambda_f = 1+1e-9
 # asks for ~5e10 orbit steps, so deeper requests are refused, not run.
@@ -111,21 +113,23 @@ def j_periodic_sum(f: PiecewiseMap, v: DirectionField, p: int,
     return _series(f, v, p, 0.0, orb)[0]
 
 
-def j_series_sum(f: PiecewiseMap, v: DirectionField,
-                 tol: float = J_TOL) -> tuple[float, float, int]:
-    """Truncated series value with certified geometric tail bound."""
-    return _series(f, v, *_series_depth(f, v, tol))
+def j_series_sum(f: PiecewiseMap,
+                 v: DirectionField) -> tuple[float, float, int]:
+    """Truncated series value within J_TOL, with certified geometric tail
+    bound."""
+    return _series(f, v, *_series_depth(f, v, J_TOL))
 
 
 def j_pair(f: PiecewiseMap, v: DirectionField, w: DirectionField,
-           tol: float = J_TOL, p: int | None = None,
+           p: int | None = None,
            orb: CriticalOrbit | None = None) -> tuple[float, float]:
     """(J(f, v), J(f, w)) bit for bit as ``j_periodic_sum(f, ., p)`` gives
-    them, or ``j_series_sum(f, ., tol)`` when p is None, on one raw critical
+    them, or ``j_series_sum(f, .)`` when p is None, on one raw critical
     orbit as deep as the deeper sum; ``orb`` as in _series."""
     if p is not None and p < 1:
         raise PreconditionError("period must be >= 1")
-    (nv, tv), (nw, tw) = ((_series_depth(f, v, tol), _series_depth(f, w, tol))
+    (nv, tv), (nw, tw) = ((_series_depth(f, v, J_TOL),
+                           _series_depth(f, w, J_TOL))
                           if p is None else ((p, 0.0), (p, 0.0)))
     n = max(nv, nw)
     if n and (orb is None or len(orb.points) <= n):
@@ -159,7 +163,7 @@ class JResult:
 
 
 def j_functional(f: PiecewiseMap, v: DirectionField, tol: float = J_TOL,
-                 period_tol: float = PERIOD_TOL, p_max: int = 64) -> JResult:
+                 period_tol: float = PERIOD_TOL) -> JResult:
     """Evaluate J(f, v) with certified truncation.
 
     The critical orbit is classified first; the truncation depth for the
@@ -170,7 +174,7 @@ def j_functional(f: PiecewiseMap, v: DirectionField, tol: float = J_TOL,
     n, tail = _series_depth(f, v, tol)
     if n == 0:
         return JResult(0.0, "series", 0, 0.0)
-    det = detect_periodic_critical(f, p_max=max(p_max, n), tol=period_tol)
+    det = detect_periodic_critical(f, p_max=max(P_MAX, n), tol=period_tol)
     if det.clean and det.period is not None:
         return JResult(j_periodic_sum(f, v, det.period), "periodic",
                        det.period, 0.0, det.period)
@@ -208,35 +212,35 @@ class AlphaSolution:
     def bound(self) -> float:
         return self.sup_v / (self.lam - 1.0)
 
-    def classify(self, x: float, tol_c: float = TOL_C) -> tuple[str, int]:
-        if abs(x) < tol_c:
+    def classify(self, x: float) -> tuple[str, int]:
+        if abs(x) < TOL_C:
             return ("at_c", 0)
-        ys = islice(orbit(self.f, x, tol_c), 1, self.n_max + 1)
+        ys = islice(orbit(self.f, x), 1, self.n_max + 1)
         for i, y in enumerate(ys, 1):
-            if abs(y) < tol_c:
+            if abs(y) < TOL_C:
                 return ("hits_c", i)
         return ("avoids_c", self.n_max)
 
-    def value(self, x, tol_c: float = TOL_C):
+    def value(self, x):
         """alpha at a float, or at every point of an ndarray as one orbit.
 
         Each point accumulates v(y)/Df^i until its orbit enters the band
-        |y| < tol_c (the exact finite form: k = min{i > 0 : f^i(x) = c}) or
+        |y| < TOL_C (the exact finite form: k = min{i > 0 : f^i(x) = c}) or
         n_max terms are summed; points starting in the band get 0.  A float
         takes the scalar orbit, in the array path's arithmetic and order.
         """
         if not isinstance(x, np.ndarray):
-            if abs(x) < tol_c:
+            if abs(x) < TOL_C:
                 return 0.0
             total, prod = 0.0, 1.0
-            for y in islice(orbit(self.f, x, tol_c), self.n_max):
-                if abs(y) < tol_c:
+            for y in islice(orbit(self.f, x), self.n_max):
+                if abs(y) < TOL_C:
                     break
                 prod *= self.f.deriv(y, 1)
                 total += self.v.value(y) / prod
             return -total
         y = np.array(x, dtype=float, ndmin=1)
-        at_c = np.abs(y) < tol_c
+        at_c = np.abs(y) < TOL_C
         live = np.flatnonzero(~at_c)
         total = np.zeros_like(y)
         prod = np.ones_like(y)
@@ -248,7 +252,7 @@ class AlphaSolution:
             total[live] += self.v.value(ys) / prod[live]
             ys = self.f.value(ys)
             y[live] = ys
-            live = live[np.abs(ys) >= tol_c]
+            live = live[np.abs(ys) >= TOL_C]
         out = -total
         out[at_c] = 0.0
         return out
@@ -264,11 +268,6 @@ def alpha(f: PiecewiseMap, v: DirectionField, tol: float = ALPHA_TOL) -> AlphaSo
         return AlphaSolution(f, v, tol, lam, 0.0, 0)
     n = max(1, math.ceil(math.log(sup_v / (tol * (lam - 1.0))) / math.log(lam)))
     return AlphaSolution(f, v, tol, lam, sup_v, _within_budget(n))
-
-
-def alpha_at(f: PiecewiseMap, v: DirectionField, x: float,
-             tol: float = ALPHA_TOL) -> float:
-    return alpha(f, v, tol).value(x)
 
 
 def grid_size(n: int) -> int:
@@ -293,8 +292,7 @@ class CohomologyReport:
 
 def check_twisted_cohomology(f: PiecewiseMap, v: DirectionField,
                              sol: AlphaSolution | None = None,
-                             grid=None, n: int = 201,
-                             tol_c: float = TOL_C) -> CohomologyReport:
+                             grid=None, n: int = 201) -> CohomologyReport:
     """Max residual of v(x) - alpha(f(x)) + Df(x) alpha(x) over a grid.
 
     The grid defaults to ``uniform_grid(n)``.  Grid points inside the
@@ -304,7 +302,7 @@ def check_twisted_cohomology(f: PiecewiseMap, v: DirectionField,
     if sol is None:
         sol = alpha(f, v)
     xs = uniform_grid(n) if grid is None else np.asarray(grid, dtype=float)
-    xs = xs[np.abs(xs) >= tol_c]
+    xs = xs[np.abs(xs) >= TOL_C]
     if xs.size == 0:
         raise PreconditionError("no grid point outside the critical band")
     r = np.abs(v.value(xs) - sol.value(f.value(xs))
@@ -326,26 +324,26 @@ class HorizontalityResult:
     identity_gap: float
 
 
-def horizontality(f: PiecewiseMap, v: DirectionField, tol: float = 1e-9,
-                  j_tol: float = J_TOL) -> HorizontalityResult:
-    """Decide J(f, v) = 0 via the series and via v(c) = alpha(f(c)).
+def horizontality(f: PiecewiseMap, v: DirectionField) -> HorizontalityResult:
+    """Decide |J(f, v)| <= HORIZONTAL_TOL via the series and via
+    v(c) = alpha(f(c)), both within J_TOL.
 
     The two routes share no code path beyond orbit evaluation, so their
     agreement is used as a live internal-consistency check: disagreement
     beyond the combined certified error margins raises.
     """
-    j = j_functional(f, v, tol=j_tol)
+    j = j_functional(f, v)
     jv = j.require_value()
     v_c = v.value(0.0)
-    sol = alpha(f, v, tol=j_tol)
+    sol = alpha(f, v, tol=J_TOL)
     a_fc = sol.value(f.critical_value)
     gap = abs(jv - (v_c - a_fc))
-    allowed = 10.0 * (j.tail_bound + j_tol) + 1e-10
+    allowed = 10.0 * (j.tail_bound + J_TOL) + 1e-10
     if gap > allowed:
         raise InternalConsistencyError(
             f"J={jv!r} disagrees with v(c)-alpha(f(c))={v_c - a_fc!r} "
             f"(gap {gap:.3e} > allowed {allowed:.3e})")
-    return HorizontalityResult(abs(jv) <= tol, j, v_c, a_fc, gap)
+    return HorizontalityResult(abs(jv) <= HORIZONTAL_TOL, j, v_c, a_fc, gap)
 
 
 @dataclass(frozen=True)
@@ -359,8 +357,7 @@ class PhaseConsistency:
 
 def param_phase_consistency(F: MapFamily, t0: float, k: int,
                             observable: DirectionField | None = None,
-                            j_tol: float = J_TOL,
-                            tol_c: float = TOL_C) -> PhaseConsistency:
+                            ) -> PhaseConsistency:
     """Compare the depth-k parameter derivative quotient with J.
 
     The quotient is d/dt[f_t^k(c)] / Df^{k-1}(f(c)) with the numerator
@@ -374,7 +371,7 @@ def param_phase_consistency(F: MapFamily, t0: float, k: int,
         raise PreconditionError("depth k must be >= 1")
     f = family_eval(F, t0)
     v = observable if observable is not None else family_velocity(F, t0)
-    orb = critical_orbit(f, k, tol_c=tol_c)
+    orb = critical_orbit(f, k)
     if len(orb.products) < k:
         raise PreconditionError(
             f"critical orbit returns to c at step {orb.truncated_at} < k={k}")
@@ -382,7 +379,7 @@ def param_phase_consistency(F: MapFamily, t0: float, k: int,
     deriv_t = math.fsum((p_top / orb.products[i]) * v.value(orb.points[i])
                         for i in range(k))
     quotient = deriv_t / p_top
-    j = j_functional(f, v, tol=j_tol)
+    j = j_functional(f, v)
     return PhaseConsistency(quotient, j, abs(quotient - j.require_value()),
                             k, v.relaxed)
 
@@ -404,21 +401,22 @@ class SideConstants:
 
 
 def _shadow_sum(mult: float, d_left: float, d_right: float,
-                seed: int, prefix_len: int = 8) -> tuple[float, str]:
+                seed: int) -> tuple[float, str]:
     """Sum the one-sided constant by propagating the shadowing side signs.
 
     A perturbed orbit re-approaches c through sides s_1, s_2, ... with
     s_{j+1} = s_j * sign(mult * Df_side(s_j)); the i-th series term divides
     by mult and by the one-sided slope chosen at step i.  Signs become
     eventually constant, so the series is geometric with ratio 1/(2 beta)
-    in magnitude and the 1e-12 tail floor is reached quickly.
+    in magnitude and the 1e-12 tail floor is reached quickly.  The first 8
+    sides are returned as an L/R prefix.
     """
     total, term, s = 1.0, 1.0, seed
     prefix = []
     i = 0
     while abs(term) > SIDE_TAIL * 1e-3 and i < 400:
         d_side = d_right if s > 0 else d_left
-        if len(prefix) < prefix_len:
+        if len(prefix) < 8:
             prefix.append("R" if s > 0 else "L")
         term /= mult * d_side
         total += term
@@ -427,14 +425,13 @@ def _shadow_sum(mult: float, d_left: float, d_right: float,
     return total, "".join(prefix)
 
 
-def side_constants(f: PiecewiseMap, p_max: int = 64,
-                   period_tol: float = PERIOD_TOL) -> SideConstants:
+def side_constants(f: PiecewiseMap) -> SideConstants:
     """C+ and C-: the two limits of J(f_theta, v)/J(f, v) across the manifold.
 
     Requires a good map with periodic critical point; goodness gives
     2 beta > 2 which underwrites geometric convergence of both series.
     """
-    good = is_good(f, tol=period_tol, p_max=p_max)
+    good = is_good(f)
     if good.period is None:
         raise PreconditionError("side constants need a periodic critical point")
     if not good.good:
@@ -477,19 +474,17 @@ def default_tol_w(w: DirectionField) -> float:
     return 1e-8 * w.sup_norm()
 
 
-def kernel_projection(f: PiecewiseMap, v: DirectionField, w: DirectionField,
-                      j_tol: float = J_TOL,
-                      tol_w: float | None = None) -> KernelProjection:
+def kernel_projection(f: PiecewiseMap, v: DirectionField,
+                      w: DirectionField) -> KernelProjection:
     """Slope d = -J(f,v)/J(f,w) and the projected field v + d w in Ker J."""
-    if tol_w is None:
-        tol_w = default_tol_w(w)
-    j_w = j_functional(f, w, tol=j_tol)
+    tol_w = default_tol_w(w)
+    j_w = j_functional(f, w)
     jw = j_w.require_value()
     if abs(jw) <= tol_w:
         raise DegenerateDirectionError(
             f"|J(f, w)| = {abs(jw):.3e} <= tol_w = {tol_w:.3e}")
-    j_v = j_functional(f, v, tol=j_tol)
+    j_v = j_functional(f, v)
     d = -j_v.require_value() / jw
     projected = v.add(w.scale(d))
-    residual = j_functional(f, projected, tol=j_tol).require_value()
+    residual = j_functional(f, projected).require_value()
     return KernelProjection(d, projected, j_v, j_w, abs(residual))

@@ -41,7 +41,8 @@ HYSTERESIS = 10.0         # ambiguity band is [tol, HYSTERESIS*tol)
 GRID_POINTS = 1024        # expansion certification grid per branch
 BOUNDARY_SLACK = 1e-12    # allowed overshoot of f(0) above 1
 ENDPOINT_TOL = 1e-9       # float slack for the boundary fixing check
-COMPENSATE_AFTER = 50     # switch product bookkeeping to compensated logs
+P_MAX = 64                # deepest period the periodicity search tries
+KNEADING_DEPTH = 30       # kneading prefix that certifies a topological class
 
 
 def _coeffs(raw) -> tuple[float, ...]:
@@ -359,8 +360,6 @@ class CriticalOrbit:
 
     points: tuple[float, ...]
     products: tuple[float, ...]
-    log_products: tuple[float, ...]
-    signs: tuple[int, ...]
     truncated_at: int | None
     tol_c: float
 
@@ -369,9 +368,9 @@ def critical_orbit(f: PiecewiseMap, n: int, tol_c: float = TOL_C) -> CriticalOrb
     if n < 1:
         raise PreconditionError("orbit depth must be >= 1")
     points = tuple(islice(orbit(f, 0.0, tol_c), n + 1))
-    products, logs, signs = [1.0], [0.0], [1]
+    products = [1.0]
     truncated = None
-    prod, log_sum, log_comp, sign = 1.0, 0.0, 0.0, 1
+    prod = 1.0
     for i, x in enumerate(points[1:], 1):
         if abs(x) < tol_c or x == 0.0:
             truncated = i
@@ -382,20 +381,8 @@ def critical_orbit(f: PiecewiseMap, n: int, tol_c: float = TOL_C) -> CriticalOrb
                 raise PreconditionError(
                     f"zero branch derivative at orbit point {x!r}")
             prod *= d
-            sign *= 1 if d > 0 else -1
-            # Kahan-compensated log accumulation; the raw product overflows
-            # once |Df^i| ~ lambda^i gets large, the log never does.
-            y = math.log(abs(d)) - log_comp
-            t = log_sum + y
-            log_comp = (t - log_sum) - y
-            log_sum = t
-            if not math.isfinite(prod):
-                prod = sign * math.inf
             products.append(prod)
-            logs.append(log_sum)
-            signs.append(sign)
-    return CriticalOrbit(points, tuple(products), tuple(logs),
-                         tuple(signs), truncated, tol_c)
+    return CriticalOrbit(points, tuple(products), truncated, tol_c)
 
 
 @dataclass(frozen=True)
@@ -409,21 +396,21 @@ class Itinerary:
             raise ValueError("itinerary symbols must be L, C or R")
 
 
-def itinerary(f: PiecewiseMap, x: float, n: int, tol_c: float = TOL_C) -> Itinerary:
+def itinerary(f: PiecewiseMap, x: float, n: int) -> Itinerary:
     """L/C/R symbols of the length-n orbit of x.
 
-    A point in the critical band gets symbol C and the orbit continues
-    from c exactly (see module docstring).
+    A point in the critical band |y| < TOL_C gets symbol C and the orbit
+    continues from c exactly (see module docstring).
     """
     if n < 1:
         raise PreconditionError("itinerary depth must be >= 1")
-    symbols = ("C" if abs(y) < tol_c else "L" if y < 0.0 else "R"
-               for y in islice(orbit(f, x, tol_c), n))
-    return Itinerary("".join(symbols), n, tol_c)
+    symbols = ("C" if abs(y) < TOL_C else "L" if y < 0.0 else "R"
+               for y in islice(orbit(f, x), n))
+    return Itinerary("".join(symbols), n, TOL_C)
 
 
-def kneading(f: PiecewiseMap, n: int, tol_c: float = TOL_C) -> Itinerary:
-    return itinerary(f, 0.0, n, tol_c)
+def kneading(f: PiecewiseMap, n: int) -> Itinerary:
+    return itinerary(f, 0.0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +430,7 @@ class PeriodDetection:
         return not self.ambiguous
 
 
-def detect_periodic_critical(f: PiecewiseMap, p_max: int = 64,
+def detect_periodic_critical(f: PiecewiseMap, p_max: int = P_MAX,
                              tol: float = PERIOD_TOL) -> PeriodDetection:
     """Smallest q <= p_max with |f^q(c) - c| < tol, on the raw float orbit.
 
@@ -530,18 +517,17 @@ class GoodnessResult:
     period: int | None
 
 
-def is_good(f: PiecewiseMap, tol: float = PERIOD_TOL,
-            p_max: int = 64) -> GoodnessResult:
+def is_good(f: PiecewiseMap) -> GoodnessResult:
     """Non-periodic critical point, or periodic with one-sided products > 2.
 
-    margin = |Df^{p-1}(f(c))| * min(|Df+(c)|, |Df-(c)|) - 2 in the periodic
+    The period is detected to PERIOD_TOL, up to P_MAX.  margin = |Df^{p-1}(f(c))| * min(|Df+(c)|, |Df-(c)|) - 2 in the periodic
     case; +inf sentinel otherwise.
     """
     require_valid(f)
-    det = require_clean_period(detect_periodic_critical(f, p_max, tol))
+    det = require_clean_period(detect_periodic_critical(f))
     if det.period is None:
         return GoodnessResult(True, math.inf, None)
-    orb = critical_orbit(f, det.period, tol_c=max(TOL_C, tol))
+    orb = critical_orbit(f, det.period, tol_c=PERIOD_TOL)
     mult = orb.products[det.period - 1]
     margin = abs(mult) * min(abs(f.df_plus), abs(f.df_minus)) - 2.0
     return GoodnessResult(margin > 0.0, margin, det.period)
@@ -556,20 +542,19 @@ class ExpansivityCertificate:
     images: tuple[tuple[float, float], ...]
 
 
-def expansivity_certificate(f: PiecewiseMap, eps0: float = 0.5,
-                            tol_c: float = TOL_C) -> ExpansivityCertificate:
+def expansivity_certificate(f: PiecewiseMap) -> ExpansivityCertificate:
     """Certify c stays out of the interiors of f^i[-eps, eps], i = 1..N0.
 
     N0 is the smallest integer with lambda_f^(N0-2) > 2; eps is found by
-    halving from eps0.  When an image touches c on its boundary (within
-    tol_c, the periodic-return case) that index is flagged as a contact
+    halving from 0.5.  When an image touches c on its boundary (within
+    TOL_C, the periodic-return case) that index is flagged as a contact
     and excluded from the margin minimum.
     """
     lam = require_valid(f).lambda_f
     n0 = 3
     while lam ** (n0 - 2) <= 2.0:
         n0 += 1
-    eps = eps0
+    eps = 0.5
     while eps >= 1e-12:
         lo, hi = -eps, eps
         images, contacts, dists = [], [], []
@@ -577,7 +562,7 @@ def expansivity_certificate(f: PiecewiseMap, eps0: float = 0.5,
         for i in range(1, n0 + 1):
             lo, hi = interval_image(f, lo, hi)
             images.append((lo, hi))
-            if abs(lo) < tol_c or abs(hi) < tol_c:
+            if abs(lo) < TOL_C or abs(hi) < TOL_C:
                 contacts.append(i)
             elif lo > 0.0:
                 dists.append(lo)
@@ -766,12 +751,12 @@ def symmetric_tent(slope: float, k: int = 3) -> PiecewiseMap:
     return PiecewiseMap((slope - 1.0, slope), (slope - 1.0, -slope), k)
 
 
-def full_tent(k: int = 3) -> PiecewiseMap:
-    return symmetric_tent(2.0, k)
+def full_tent() -> PiecewiseMap:
+    return symmetric_tent(2.0)
 
 
-def golden_tent(k: int = 3) -> PiecewiseMap:
-    return symmetric_tent(GOLDEN_RATIO, k)
+def golden_tent() -> PiecewiseMap:
+    return symmetric_tent(GOLDEN_RATIO)
 
 
 # Curved-branch map with a period-3 critical orbit 0 -> 0.42 -> -0.35 -> 0
@@ -786,8 +771,8 @@ _NOT_GOOD_RIGHT = (0.42, -2.6486384572279853, 2.7250709498882855,
                    -2.1342265280926154, 0.6377940354323149)
 
 
-def curved_not_good(k: int = 3) -> PiecewiseMap:
-    return PiecewiseMap(_NOT_GOOD_LEFT, _NOT_GOOD_RIGHT, k)
+def curved_not_good() -> PiecewiseMap:
+    return PiecewiseMap(_NOT_GOOD_LEFT, _NOT_GOOD_RIGHT)
 
 
 def bump_field() -> DirectionField:

@@ -11,57 +11,16 @@ from .deform import (DeformationTrace, PeriodicContinuation,
                      integrate_deformation)
 from .errors import (InternalConsistencyError, NewtonDivergenceError,
                      PreconditionError)
-from .functional import J_TOL, default_tol_w, grid_size, j_functional
-from .maps import (PERIOD_TOL, DirectionField, FamilyTerm, MapFamily,
-                   PiecewiseMap, aux_dictionary, critical_relations,
-                   detect_periodic_critical, family_eval, family_velocity,
-                   iterates, kneading)
+from .functional import default_tol_w, grid_size, j_functional
+from .maps import (KNEADING_DEPTH, PERIOD_TOL, DirectionField, FamilyTerm,
+                   MapFamily, PiecewiseMap, aux_dictionary,
+                   critical_relations, detect_periodic_critical, family_eval,
+                   family_velocity, iterates, kneading)
 
-KNEADING_DEPTH = 30
 RELATION_DEPTH = 8
 J_ZERO_TOL = 1e-7        # |J| below this floor counts as "vanishes"
 TRANSITION_WIDTH = 1e-8
 NORM_GRID = 2048
-
-
-# ---------------------------------------------------------------------------
-# scan sources: polynomial families evaluate anywhere, sampled families
-# only at their stored nodes
-
-
-class _FamilySource:
-    continuous = True
-
-    def __init__(self, fam: MapFamily):
-        self.domain = fam.domain
-        self.family = fam
-
-    def at(self, t: float):
-        return family_eval(self.family, t), family_velocity(self.family, t)
-
-
-class _SampledSource:
-    continuous = False
-
-    def __init__(self, tilde):
-        self._by_t = {s.t: s for s in tilde.samples}
-        ts = tilde.ts
-        self.domain = (min(ts), max(ts))
-
-    def at(self, t: float):
-        s = self._by_t.get(t)
-        if s is None:
-            raise PreconditionError(
-                f"sampled family has no node at t = {t!r}")
-        return s.map, s.velocity
-
-
-def _source(family):
-    if isinstance(family, MapFamily):
-        return _FamilySource(family)
-    if hasattr(family, "samples"):
-        return _SampledSource(family)
-    raise PreconditionError(f"cannot scan a {type(family).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +64,15 @@ class ScanResult:
         return not self.transitions
 
 
-def _node(src, t: float, kneading_depth: int, relation_depth: int,
-          period_tol: float, j_tol: float) -> ScanRecord:
+def _node(at, t: float, kneading_depth: int, relation_depth: int,
+          period_tol: float) -> ScanRecord:
+    """The record of the node t, whose map and velocity are ``at(t)``."""
     try:
-        f, v = src.at(t)
+        f, v = at(t)
         kn = kneading(f, kneading_depth).symbols
         rel = critical_relations(f, relation_depth, tol=period_tol)
         det = detect_periodic_critical(f, tol=period_tol)
-        j = j_functional(f, v, tol=j_tol, period_tol=period_tol)
+        j = j_functional(f, v, period_tol=period_tol)
     except PreconditionError as exc:
         return ScanRecord(t, "", (), None, 0.0, (), "error",
                           (f"error:{type(exc).__name__}",))
@@ -134,10 +94,10 @@ def _node(src, t: float, kneading_depth: int, relation_depth: int,
                       tuple(flags))
 
 
-def _signature(src, t: float, kneading_depth: int, relation_depth: int,
-               period_tol: float):
+def _signature(F: MapFamily, t: float, kneading_depth: int,
+               relation_depth: int, period_tol: float):
     try:  # only polynomial families are localized; the velocity is not needed
-        f = family_eval(src.family, t)
+        f = family_eval(F, t)
         return (kneading(f, kneading_depth).symbols,
                 critical_relations(f, relation_depth, tol=period_tol)
                 .relations)
@@ -168,7 +128,8 @@ def _newton_crossing(F: MapFamily, t_lo: float, t_hi: float, i: int,
     symbols, so the ends are not evaluated).  g'(t) is the chain-rule sum
     d_{k+1} = Df(x_k) d_k + v_t(x_k), d_0 = 0, along x_k = f_t^k(c).
     Returns (root estimate or None, maps assembled); None when an iterate is
-    invalid, the orbit hits c exactly, or ``cap`` iterations do not bring
+    invalid, the orbit hits c exactly, a step no longer moves t (the width
+    is below the float spacing there), or ``cap`` iterations do not bring
     the step under width/8.
     """
     neg, pos = (t_lo, t_hi) if rises else (t_hi, t_lo)
@@ -191,6 +152,7 @@ def _newton_crossing(F: MapFamily, t_lo: float, t_hi: float, i: int,
         else:
             pos = t
         newton = g / d if d != 0.0 else math.inf
+        t_old = t
         if (min(neg, pos) <= t - newton <= max(neg, pos)
                 and abs(2.0 * g) <= abs(step_old * d)):
             step_old, step = step, newton
@@ -200,10 +162,12 @@ def _newton_crossing(F: MapFamily, t_lo: float, t_hi: float, i: int,
             t = neg + step
         if abs(step) <= 0.125 * width:
             return t, n
+        if t == t_old:
+            return None, n
     return None, cap
 
 
-def _localize(src, a: ScanRecord, b: ScanRecord, width: float,
+def _localize(F: MapFamily, a: ScanRecord, b: ScanRecord, width: float,
               sig_args: tuple) -> Transition:
     """Narrow the change between nodes a and b to at most ``width``.
 
@@ -219,12 +183,12 @@ def _localize(src, a: ScanRecord, b: ScanRecord, width: float,
     if i is not None and b.t - a.t > width:
         cap = math.ceil(math.log2((b.t - a.t) / width))  # bisection's count
         t_star, evaluations = _newton_crossing(
-            src.family, a.t, b.t, i, a.kneading[i] == "L", width, cap)
+            F, a.t, b.t, i, a.kneading[i] == "L", width, cap)
         if t_star is not None:
             t_lo = max(a.t, t_star - 0.25 * width)
             t_hi = min(b.t, t_star + 0.25 * width)
-            sig_lo = _signature(src, t_lo, *sig_args)
-            sig_hi = _signature(src, t_hi, *sig_args)
+            sig_lo = _signature(F, t_lo, *sig_args)
+            sig_hi = _signature(F, t_hi, *sig_args)
             evaluations += 2
             if None not in (sig_lo, sig_hi) and sig_lo != sig_hi:
                 return Transition(t_lo, t_hi, 0.5 * (t_lo + t_hi),
@@ -236,7 +200,7 @@ def _localize(src, a: ScanRecord, b: ScanRecord, width: float,
         mid = 0.5 * (t_lo + t_hi)
         if not t_lo < mid < t_hi:
             break  # adjacent floats: a width below their spacing is unmet
-        sig_mid = _signature(src, mid, *sig_args)
+        sig_mid = _signature(F, mid, *sig_args)
         evaluations += 1
         if sig_mid == sig_lo:
             t_lo = mid
@@ -258,8 +222,7 @@ def _changed(sig_a, sig_b) -> tuple[str, ...]:
 
 def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
              relation_depth: int = RELATION_DEPTH,
-             period_tol: float = PERIOD_TOL, j_tol: float = J_TOL,
-             j_zero_tol: float = J_ZERO_TOL, localize: bool = True,
+             period_tol: float = PERIOD_TOL, localize: bool = True,
              width: float = TRANSITION_WIDTH) -> ScanResult:
     """Per-node diagnostics over a grid, with class-transition localization.
 
@@ -273,9 +236,9 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
     cannot be evaluated between nodes, so their transitions keep the grid
     width and are marked unlocalized.  Node failures become error records
     and the scan continues; the A<=>D diagnostic (no transitions <=>
-    max|J| under max(10*tail, floor)) is recorded, not enforced.  Depths,
-    widths and grids that no scan could use are refused before any node
-    is evaluated; the grid must increase strictly.
+    max|J| under max(10*tail, J_ZERO_TOL)) is recorded, not enforced.
+    Depths, widths and grids that no scan could use are refused before any
+    node is evaluated; the grid must increase strictly.
     """
     if kneading_depth < 1 or relation_depth < 2:
         raise PreconditionError(
@@ -284,19 +247,31 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
     if not (math.isfinite(width) and width > 0.0):
         raise PreconditionError(
             f"transition width must be finite and > 0, got {width!r}")
-    src = _source(family)
+    # a polynomial family evaluates anywhere, a sampled one (``samples``
+    # with t, map and velocity) only at its stored nodes
+    continuous = isinstance(family, MapFamily)
+    if continuous:
+        lo, hi = family.domain
+
+        def at(t: float):
+            return family_eval(family, t), family_velocity(family, t)
+    elif hasattr(family, "samples"):
+        by_t = {s.t: (s.map, s.velocity) for s in family.samples}
+        at = by_t.__getitem__
+        lo, hi = min(by_t), max(by_t)
+    else:
+        raise PreconditionError(f"cannot scan a {type(family).__name__}")
     if t_grid is None:
-        if src.continuous:
+        if continuous:
             raise PreconditionError("a polynomial family needs a t grid")
-        grid = sorted(src._by_t)
+        grid = sorted(by_t)
     else:
         grid = [float(t) for t in t_grid]
-    lo, hi = src.domain
     for t in grid:
         if not lo <= t <= hi:
             raise PreconditionError(
                 f"grid point t = {t!r} outside family domain [{lo}, {hi}]")
-        if not src.continuous and t not in src._by_t:
+        if not continuous and t not in by_t:
             raise PreconditionError(
                 f"sampled family has no node at t = {t!r}")
     for s, t in zip(grid, grid[1:]):
@@ -304,10 +279,10 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
             raise PreconditionError(
                 f"grid must increase strictly, got t = {s!r} then {t!r}")
     if not grid:
-        return ScanResult((), (), None, j_zero_tol, True)
+        return ScanResult((), (), None, J_ZERO_TOL, True)
 
-    records = [_node(src, t, kneading_depth, relation_depth, period_tol,
-                     j_tol) for t in grid]
+    records = [_node(at, t, kneading_depth, relation_depth, period_tol)
+               for t in grid]
 
     sig_args = (kneading_depth, relation_depth, period_tol)
     transitions = []
@@ -317,8 +292,8 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
         kinds = _changed((a.kneading, a.relations), (b.kneading, b.relations))
         if not kinds:
             continue
-        if src.continuous and localize:
-            transitions.append(_localize(src, a, b, width, sig_args))
+        if continuous and localize:
+            transitions.append(_localize(family, a, b, width, sig_args))
         else:
             w = b.t - a.t
             transitions.append(Transition(
@@ -335,7 +310,7 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
         elif r.j_candidates:
             mags.append(max(abs(c) for c in r.j_candidates))
     max_abs_j = max(mags) if mags else None
-    threshold = max(j_zero_tol, 10.0 * max_tail)
+    threshold = max(J_ZERO_TOL, 10.0 * max_tail)
     consistent = True
     if max_abs_j is not None:
         consistent = (not transitions) == (max_abs_j <= threshold)
@@ -347,10 +322,10 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
 # workflows
 
 
-def auto_transversal(f: PiecewiseMap, j_tol: float = J_TOL) -> DirectionField:
+def auto_transversal(f: PiecewiseMap) -> DirectionField:
     """First dictionary direction with |J(f, w)| above the division floor."""
     for w in aux_dictionary():
-        jr = j_functional(f, w, tol=j_tol)
+        jr = j_functional(f, w)
         if jr.value is not None and abs(jr.value) > default_tol_w(w):
             return w
     raise PreconditionError(
@@ -359,10 +334,9 @@ def auto_transversal(f: PiecewiseMap, j_tol: float = J_TOL) -> DirectionField:
 
 def tangent_deformation(f: PiecewiseMap, v: DirectionField,
                         w: DirectionField | None = None, *,
-                        t_range: tuple[float, float] = (-0.02, 0.02),
-                        tangent_tol: float = 1e-8,
-                        ode_tol: float | None = None) -> DeformationTrace:
-    """Deformation trace for the straight family through f tangent to v.
+                        tangent_tol: float = 1e-8) -> DeformationTrace:
+    """Deformation trace for the straight family f + t v, |t| <= 0.02,
+    through f tangent to v.
 
     v must satisfy J(f, v) = 0 within tangent_tol (that is what makes the
     family tangent to the topological class); w defaults to the first
@@ -377,9 +351,8 @@ def tangent_deformation(f: PiecewiseMap, v: DirectionField,
             f"exceeds {tangent_tol:.3e}")
     if w is None:
         w = auto_transversal(f)
-    fam = MapFamily(f, (FamilyTerm(v),), domain=t_range)
-    kwargs = {} if ode_tol is None else {"ode_tol": ode_tol}
-    trace = integrate_deformation(fam, w, **kwargs)
+    fam = MapFamily(f, (FamilyTerm(v),))
+    trace = integrate_deformation(fam, w)
     if abs(trace.slope0) >= 1e-8:
         raise InternalConsistencyError(
             f"tangent family drifts: |b'(0)| = {abs(trace.slope0):.3e}")
@@ -423,29 +396,25 @@ def _sup_distance(trace: DeformationTrace, cont: PeriodicContinuation,
 
 def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
                         periods: tuple[int, ...] = (7, 8, 9, 10),
-                        min_rungs: int = 2, scan_nodes: int = 41,
-                        seed_range: tuple[float, float] = (1e-4, 0.08),
-                        seeds: int = 12, steps: int = 10,
-                        grid_n: int = NORM_GRID,
-                        period_tol: float = PERIOD_TOL,
-                        ) -> ApproximationLadder:
+                        grid_n: int = NORM_GRID) -> ApproximationLadder:
     """Periodic-critical families closing in on an in-class family.
 
+    The family must show no transition on a 41-node scan of its domain.
     For each requested period p, a root theta_p of g^p(c) = c is hunted
-    from log-spaced seeds on both sides of 0 and continued in t alongside
-    the reference deformation; the rung distance is the sup over shared
-    nodes of the grid norm of g_t - f_t through derivative order k-1.
-    If the base critical point is already periodic the ladder is the
-    single trivial rung theta = 0 at distance 0, which is complete as it
-    stands; otherwise fewer than min_rungs roots marks the result
-    partial rather than failing.
+    from 12 log-spaced seed magnitudes in [1e-4, 0.08] on both sides of 0
+    and continued in t, in 10 fixed steps per side, alongside the reference
+    deformation; the rung distance is the sup over shared nodes of the
+    grid norm of g_t - f_t through derivative order k-1.  If the base
+    critical point is already periodic the ladder is the single trivial
+    rung theta = 0 at distance 0, which is complete as it stands;
+    otherwise fewer than 2 roots marks the result partial rather than
+    failing.
     """
     lo, hi = F.domain
     if not lo < 0.0 < hi:
         raise PreconditionError("family domain must contain t = 0")
     grid_size(grid_n)
-    sweep = run_scan(F, np.linspace(lo, hi, scan_nodes), localize=False,
-                     period_tol=period_tol)
+    sweep = run_scan(F, np.linspace(lo, hi, 41), localize=False)
     if sweep.transitions:
         raise PreconditionError(
             f"family is not in-class: {len(sweep.transitions)} "
@@ -453,25 +422,23 @@ def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
     base = family_eval(F, 0.0)
     if w is None:
         w = auto_transversal(base)
-    h = max(abs(lo), hi) / steps
+    h = max(abs(lo), hi) / 10
     trace = integrate_deformation(F, w, h0=h, adaptive=False)
 
     rungs = []
-    det = detect_periodic_critical(base, tol=period_tol)
+    det = detect_periodic_critical(base)
     if det.period is not None:
-        cont = continue_periodic(F, w, det.period, 0.0, h=h,
-                                 period_tol=period_tol)
+        cont = continue_periodic(F, w, det.period, 0.0, h=h)
         rungs.append(LadderRung(det.period, 0.0, cont,
                                 _sup_distance(trace, cont, grid_n)))
     else:
         prev = None
         for p in periods:
             root = None
-            for mag in np.geomspace(seed_range[0], seed_range[1], seeds):
+            for mag in np.geomspace(1e-4, 0.08, 12):
                 for seed in (-float(mag), float(mag)):
                     try:
-                        cand = find_periodic_theta(F, w, p, theta0=seed,
-                                                   period_tol=period_tol)
+                        cand = find_periodic_theta(F, w, p, theta0=seed)
                     except (PreconditionError, NewtonDivergenceError):
                         continue
                     if cand.period == p and (
@@ -482,13 +449,12 @@ def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
                     break
             if root is None:
                 continue
-            cont = continue_periodic(F, w, p, root.theta, h=h,
-                                     period_tol=period_tol)
+            cont = continue_periodic(F, w, p, root.theta, h=h)
             rungs.append(LadderRung(p, root.theta, cont,
                                     _sup_distance(trace, cont, grid_n)))
             prev = root.theta
     dists = [r.distance for r in rungs]
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
-    partial = det.period is None and len(rungs) < min_rungs
+    partial = det.period is None and len(rungs) < 2
     return ApproximationLadder(tuple(rungs), decreasing, partial,
                                det.period, grid_n)

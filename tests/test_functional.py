@@ -89,10 +89,10 @@ class TestJFunctional:
 
 class TestAlpha:
     def test_alpha_at_c_is_zero(self):
-        assert fn.alpha_at(golden_tent(), bump_field(), 0.0) == 0.0
+        assert fn.alpha(golden_tent(), bump_field()).value(0.0) == 0.0
 
     def test_alpha_at_fixed_boundary(self):
-        assert fn.alpha_at(full_tent(), bump_field(), -1.0) == pytest.approx(0.0, abs=1e-15)
+        assert fn.alpha(full_tent(), bump_field()).value(-1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_golden_critical_value_finite_sum(self):
         g = golden_tent()
@@ -201,8 +201,8 @@ class TestHorizontality:
         real = fn.alpha
 
         class Shifted(fn.AlphaSolution):
-            def value(self, x, tol_c=1e-10):
-                return super().value(x, tol_c) + 0.25
+            def value(self, x):
+                return super().value(x) + 0.25
 
         def corrupted(f, v, tol=fn.ALPHA_TOL):
             sol = real(f, v, tol)

@@ -150,11 +150,6 @@ class TestCriticalOrbit:
         for i, p in enumerate(orb.products):
             assert abs(p) >= lam ** i * (1 - 1e-12)
 
-    def test_log_products_match_raw(self):
-        orb = critical_orbit(symmetric_tent(1.9), 30)
-        for p, lg, s in zip(orb.products, orb.log_products, orb.signs):
-            assert p == pytest.approx(s * math.exp(lg), rel=1e-12)
-
 
 class TestItinerary:
     def test_full_tent_kneading(self):

@@ -383,13 +383,12 @@ class TestScanBrackets:
                            domain=(-0.02, 0.02))
         grid = np.linspace(-0.02, 0.02, 21)
         res = sc.run_scan(fam, grid)
-        src = sc._source(fam)
         for tr in res.transitions:
             assert tr.localized and tr.method in ("newton", "bisection")
             assert tr.t_lo < tr.t_hi and tr.width <= sc.TRANSITION_WIDTH
             assert any(s <= tr.t_lo and tr.t_hi <= t
                        for s, t in zip(grid, grid[1:]))
-            ends = [sc._signature(src, t, sc.KNEADING_DEPTH,
+            ends = [sc._signature(fam, t, sc.KNEADING_DEPTH,
                                   sc.RELATION_DEPTH, mp.PERIOD_TOL)
                     for t in (tr.t_lo, tr.t_hi)]
             assert ends[0] != ends[1]

@@ -118,15 +118,19 @@ class TestRunScan:
         with pytest.raises(PreconditionError):
             sc.run_scan(horizontal_tilde, [0.012345])
 
+    def test_unscannable_object_refused(self):
+        with pytest.raises(PreconditionError, match="cannot scan a object"):
+            sc.run_scan(object(), [0.0])
 
-def _bisected(src, a, b, width):
+
+def _bisected(F, a, b, width):
     """The signature bisection of a node pair, written out independently."""
     t_lo, t_hi = a.t, b.t
     sig_lo, sig_hi = (a.kneading, a.relations), (b.kneading, b.relations)
     kinds = sc._changed(sig_lo, sig_hi)
     while t_hi - t_lo > width:
         mid = 0.5 * (t_lo + t_hi)
-        sig = sc._signature(src, mid, sc.KNEADING_DEPTH, sc.RELATION_DEPTH,
+        sig = sc._signature(F, mid, sc.KNEADING_DEPTH, sc.RELATION_DEPTH,
                             mp.PERIOD_TOL)
         if sig == sig_lo:
             t_lo = mid
@@ -197,14 +201,14 @@ class TestNewtonLocalization:
         grid = np.linspace(-0.02, 0.02, 41)
         monkeypatch.setattr(sc, "_newton_crossing", failing)
         res = sc.run_scan(transversal_family, grid)
-        src = sc._source(transversal_family)
         pairs = {(a.t, b.t): (a, b)
                  for a, b in zip(res.records, res.records[1:])}
         assert len(res.transitions) == 40
         for tr in res.transitions:
             a, b = next(pairs[k] for k in pairs
                         if k[0] <= tr.t_lo < tr.t_hi <= k[1])
-            t_lo, t_hi, kinds = _bisected(src, a, b, sc.TRANSITION_WIDTH)
+            t_lo, t_hi, kinds = _bisected(transversal_family, a, b,
+                                          sc.TRANSITION_WIDTH)
             assert (tr.t_lo, tr.t_hi, tr.kinds) == (t_lo, t_hi, kinds)
             assert tr.t_star == 0.5 * (t_lo + t_hi)
             assert tr.width == t_hi - t_lo and tr.method == "bisection"
@@ -219,6 +223,9 @@ class TestNewtonLocalization:
         (tr,) = res.transitions
         assert tr.method == "bisection" and not tr.localized
         assert math.nextafter(tr.t_lo, 1.0) == tr.t_hi
+        # Newton hands over once a step no longer moves t, instead of
+        # running to its 56-iteration cap (104 maps)
+        assert tr.evaluations == 61
 
     def test_unlocalized_transitions_say_grid(self, transversal_family):
         res = sc.run_scan(transversal_family, np.linspace(-0.02, 0.02, 11),
@@ -414,6 +421,24 @@ class TestCli:
         assert cli.main(["j", "--config", cfg, "--out", str(tmp_path / "o"),
                          f"--tol={tol}"]) == 1
         assert "finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("cmd", cli._COMMANDS)
+    def test_every_command_refuses_bad_tol(self, tmp_path, capsys, cmd, tol):
+        # a config every command could run; --tol is refused before it is
+        # read and before the output directory exists
+        family = {"base": "golden_tent", "terms": [{"field": "bump"}]}
+        cfg = _write_cfg(tmp_path / "c.json", {
+            "map": "golden_tent", "field": "bump", "v": "bump", "w": "odd",
+            "family": family, "period": 3,
+            "f0": "golden_tent", "f1": "golden_tent"})
+        out = tmp_path / "o"
+        assert cli.main([cmd, "--config", cfg, "--out", str(out),
+                         f"--tol={tol}"]) == 1
+        assert capsys.readouterr().err == (
+            f"pexpand {cmd}: tolerance must be finite and > 0, "
+            f"got {float(tol)!r}\n")
+        assert not out.exists()
 
     def test_exact_return_ends_series(self, tmp_path):
         # f^2(c) sits in the hysteresis band, and the raw orbit lands on
