@@ -61,12 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _grid_from(cfg: dict, fam: _maps.MapFamily, override: int | None):
     node = cfg.get("grid")
     if isinstance(node, list):
-        return [float(t) for t in node]
+        return [_io.number(t, float, "grid") for t in node]
     spec = node if isinstance(node, dict) else {}
     lo, hi = fam.domain
-    lo = float(spec.get("lo", lo))
-    hi = float(spec.get("hi", hi))
-    n = override if override is not None else int(spec.get("n", 101))
+    lo = _io.number(spec.get("lo", lo), float, "grid lo")
+    hi = _io.number(spec.get("hi", hi), float, "grid hi")
+    n = override if override is not None else _io.number(
+        spec.get("n", 101), int, "grid n")
     return np.linspace(lo, hi, _functional.grid_size(n))
 
 
@@ -95,7 +96,8 @@ def _cmd_alpha(cfg, out, args):
     f = _io.parse_map(_io._require(cfg, "map"))
     v = _io.parse_field(_io._require(cfg, "field"))
     sol = _functional.alpha(f, v)
-    n = args.grid if args.grid is not None else int(cfg.get("n", 201))
+    n = args.grid if args.grid is not None else _io.number(
+        cfg.get("n", 201), int, "n")
     grid = _functional.uniform_grid(n)
     xs = grid[np.abs(grid) >= _maps.TOL_C]
     rows = zip(xs.tolist(), sol.value(xs).tolist())
@@ -138,8 +140,8 @@ def _cmd_deform(cfg, out, args):
 def _cmd_continue(cfg, out, args):
     fam = _io.parse_family(_io._require(cfg, "family"))
     w = _io.parse_field(_io._require(cfg, "w"))
-    p = int(_io._require(cfg, "period"))
-    theta0 = float(cfg.get("theta0", 0.0))
+    p = _io.number(_io._require(cfg, "period"), int, "period")
+    theta0 = _io.number(cfg.get("theta0", 0.0), float, "theta0")
     cont = _deform.continue_periodic(fam, w, p, theta0)
     _io.emit_continuation(cont, out)
 
@@ -147,11 +149,12 @@ def _cmd_continue(cfg, out, args):
 def _cmd_conjugacy(cfg, out, args):
     f0 = _io.parse_map(_io._require(cfg, "f0"))
     f1 = _io.parse_map(_io._require(cfg, "f1"))
-    depth = args.depth if args.depth is not None else int(
-        cfg.get("depth", _conjugacy.DEPTH_DEFAULT))
+    depth = args.depth if args.depth is not None else _io.number(
+        cfg.get("depth", _conjugacy.DEPTH_DEFAULT), int, "depth")
     words = _conjugacy.generate_conjugacy_words(
-        f0, min_count=int(cfg.get("count", 200)),
-        max_period=int(cfg.get("max_period", 8)), depth=depth)
+        f0, min_count=_io.number(cfg.get("count", 200), int, "count"),
+        max_period=_io.number(cfg.get("max_period", 8), int, "max_period"),
+        depth=depth)
     table = _conjugacy.ConjugacyTable.from_words(f0, f1, words, depth=depth)
     tol = args.tol if args.tol is not None else 1e-8
     report = _conjugacy.verify_conjugacy(f0, f1, table, tol=tol)
@@ -184,7 +187,8 @@ def _cmd_cor52(cfg, out, args):
     w = _io.parse_field(cfg["w"]) if "w" in cfg else None
     kwargs = {}
     if "periods" in cfg:
-        kwargs["periods"] = tuple(int(p) for p in cfg["periods"])
+        with _io.reading("periods"):
+            kwargs["periods"] = tuple(int(p) for p in cfg["periods"])
     if args.grid is not None:
         kwargs["grid_n"] = args.grid
     ladder = _scan.continuation_ladder(fam, w, **kwargs)

@@ -22,7 +22,6 @@ from .errors import NoPointError, OrbitRefusedError, PreconditionError
 from .maps import (
     TOL_C,
     PiecewiseMap,
-    Itinerary,
     itinerary,
     iterates,
     lambda_of,
@@ -77,14 +76,6 @@ class RealizedPoint:
     x: float
     bound: float
     word: str
-    depth: int
-
-
-def _word_of(symbols) -> str:
-    word = symbols.symbols if isinstance(symbols, Itinerary) else str(symbols)
-    if set(word) - set("LCR"):
-        raise PreconditionError("symbols must be L, C or R")
-    return word
 
 
 def point_from_itinerary(f: PiecewiseMap, symbols,
@@ -97,7 +88,9 @@ def point_from_itinerary(f: PiecewiseMap, symbols,
     word no point realizes (the clamp lied somewhere) raises NoPointError
     with the first disagreeing index.
     """
-    word = _word_of(symbols)
+    word = str(symbols)
+    if set(word) - set("LCR"):
+        raise PreconditionError("symbols must be L, C or R")
     if n is None:
         n = len(word)
     if not 1 <= n <= len(word):
@@ -138,7 +131,7 @@ def point_from_itinerary(f: PiecewiseMap, symbols,
                     f"is {here!r} at index {i})", i)
             break
         amp *= lam
-    return RealizedPoint(x, 2.0 * lambda_of(f) ** (-n), word, n)
+    return RealizedPoint(x, 2.0 * lam ** (-n), word)
 
 
 @dataclass(frozen=True)
@@ -148,19 +141,23 @@ class ConjugateResult:
     word: str
 
 
-def conjugate_point(f0: PiecewiseMap, f1: PiecewiseMap, x: float,
-                    n: int = DEPTH_DEFAULT) -> ConjugateResult:
-    """h(x) for the conjugacy h with h o f0 = f1 o h, by word transfer.
-
-    Only orbit-safe points are conjugated: a C symbol after index 0 means
-    the orbit of x enters the critical band, where the word no longer
-    determines a unique point at this depth.
-    """
-    word = itinerary(f0, x, n).symbols
+def _safe_word(f: PiecewiseMap, x: float, n: int) -> str:
+    """The depth-n itinerary of x, refused when x's orbit enters the
+    critical band (a C after index 0): there the word no longer determines
+    a unique point at this depth."""
+    word = itinerary(f, x, n)
     idx = word.find("C", 1)
     if idx >= 1:
         raise OrbitRefusedError(
             f"orbit of {x!r} enters the critical band at index {idx}", idx)
+    return word
+
+
+def conjugate_point(f0: PiecewiseMap, f1: PiecewiseMap, x: float,
+                    n: int = DEPTH_DEFAULT) -> ConjugateResult:
+    """h(x) for the conjugacy h with h o f0 = f1 o h, by word transfer;
+    only orbit-safe points are conjugated (see ``_safe_word``)."""
+    word = _safe_word(f0, x, n)
     rp = point_from_itinerary(f1, word, n)
     return ConjugateResult(rp.x, rp.bound, word)
 
@@ -315,7 +312,7 @@ def _periodic_points(f: PiecewiseMap, max_period: int,
     seen: set[str] = set()
     out = []
     for r, q in _periodic_roots(f, max_period):
-        w = (itinerary(f, r, q).symbols * (depth // q + 1))[:depth]
+        w = (itinerary(f, r, q) * (depth // q + 1))[:depth]
         if "C" not in w and w not in seen:
             seen.add(w)
             out.append((r, w))
@@ -380,7 +377,6 @@ class LipschitzReport:
     constant: float
     bound_shape: float
     n_nodes: int
-    x: float
 
 
 def lipschitz_estimate(tilde, x: float, t_grid=None) -> LipschitzReport:
@@ -394,12 +390,7 @@ def lipschitz_estimate(tilde, x: float, t_grid=None) -> LipschitzReport:
     ts = tuple(t_grid) if t_grid is not None else tilde.ts
     if len(ts) < 2:
         raise PreconditionError("need at least 2 grid nodes")
-    base = tilde.map_at(0.0)
-    word = itinerary(base, x, DEPTH_DEFAULT).symbols
-    idx = word.find("C", 1)
-    if idx >= 1:
-        raise OrbitRefusedError(
-            f"orbit of {x!r} enters the critical band at index {idx}", idx)
+    word = _safe_word(tilde.map_at(0.0), x, DEPTH_DEFAULT)
     hs = [point_from_itinerary(tilde.map_at(t), word, DEPTH_DEFAULT).x
           for t in ts]
     constant = max(abs(hs[i + 1] - hs[i]) / abs(ts[i + 1] - ts[i])
@@ -410,4 +401,4 @@ def lipschitz_estimate(tilde, x: float, t_grid=None) -> LipschitzReport:
         sup_vel = max(sup_vel, s.velocity.sup_norm())
         lam = min(lam, lambda_of(s.map))
     shape = sup_vel / (1.0 - 1.0 / lam) if lam > 1.0 else float("inf")
-    return LipschitzReport(constant, shape, len(ts), x)
+    return LipschitzReport(constant, shape, len(ts))

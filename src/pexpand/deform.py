@@ -39,7 +39,6 @@ from .maps import (
     KNEADING_DEPTH,
     PERIOD_TOL,
     DirectionField,
-    Itinerary,
     MapFamily,
     PiecewiseMap,
     critical_orbit,
@@ -311,7 +310,7 @@ class TildeSample:
 @dataclass(frozen=True)
 class TildeFamily:
     samples: tuple[TildeSample, ...]
-    kneading: Itinerary
+    kneading: str
     drift_index: int | None
     trace: DeformationTrace
 
@@ -341,11 +340,11 @@ def build_tilde_family(F: MapFamily, w: DirectionField,
         vel = family_velocity(F, node.t).add(w.scale(node.d))
         samples.append(TildeSample(node.t, g, vel))
         kn = kneading(g, KNEADING_DEPTH)
-        if kn.symbols != base.symbols:
+        if kn != base:
             if strict:
                 raise KneadingDriftError(
                     f"kneading prefix changed at sample {idx} (t={node.t!r}): "
-                    f"{kn.symbols} vs {base.symbols}", idx)
+                    f"{kn} vs {base}", idx)
             if drift is None:
                 drift = idx
     return TildeFamily(tuple(samples), base, drift, trace)
@@ -403,6 +402,20 @@ def _newton(F: MapFamily, w: DirectionField, p: int, t: float, theta: float,
                                 f"at t={t!r} (residual {xs[p]!r})")
 
 
+def _require_prime_period(xs, p: int, theta: float) -> None:
+    """Refuse a root whose orbit c..g^p(c) returns to c before step p:
+    a return within PERIOD_TOL is a lower prime period, one in the
+    hysteresis band above it is ambiguous."""
+    for q in range(1, p):
+        rq = abs(xs[q])
+        if rq < PERIOD_TOL:
+            raise PreconditionError(
+                f"root at theta={theta!r} has prime period {q} < {p}")
+        if rq < HYSTERESIS * PERIOD_TOL:
+            raise AmbiguousPeriodicityError(
+                f"prime-period check ambiguous at q={q}", ((q, rq),))
+
+
 def find_periodic_theta(F: MapFamily, w: DirectionField, p: int,
                         theta0: float = 0.0, t: float = 0.0) -> ThetaRoot:
     """Newton root of theta -> f_{(t,theta)}^p(c) - c (see ``_newton``),
@@ -413,14 +426,7 @@ def find_periodic_theta(F: MapFamily, w: DirectionField, p: int,
     if p < 2:
         raise PreconditionError("period must be >= 2")
     theta, g, xs, it = _newton(F, w, p, t, theta0, 50)
-    for q in range(1, p):
-        rq = abs(xs[q])
-        if rq < PERIOD_TOL:
-            raise PreconditionError(
-                f"root at theta={theta!r} has prime period {q} < {p}")
-        if rq < HYSTERESIS * PERIOD_TOL:
-            raise AmbiguousPeriodicityError(
-                f"prime-period check ambiguous at q={q}", ((q, rq),))
+    _require_prime_period(xs, p, theta)
     margin = is_good(g).margin
     return ThetaRoot(theta, abs(xs[p]), it, p, margin, g)
 
@@ -479,9 +485,9 @@ def continue_periodic(F: MapFamily, w: DirectionField, p: int, theta0: float,
     over the family's domain.
 
     Euler predictor with slope -J_p(g, v_t)/J_p(g, w), Newton corrector
-    (at most 30 iterations) back onto f^p(c) = c at each node; the prime
-    period must stay p, a change aborts the sweep and records the node
-    index.
+    (at most 30 iterations) back onto f^p(c) = c at each node.  The prime
+    period must be p at the centre, or nothing is continued, and must stay
+    p: a change aborts the side and records the node index.
     """
     if p < 1:
         raise PreconditionError("period must be >= 1")
@@ -496,17 +502,16 @@ def continue_periodic(F: MapFamily, w: DirectionField, p: int, theta0: float,
     def advance(t: float, prev: ContinuationNode, h: float, t_next: float):
         guess = prev.theta + h * prev.slope
         theta, _, xs, iters = _newton(F, w, p, t_next, guess, 30)
-        for q in range(1, p):
-            if abs(xs[q]) < HYSTERESIS * PERIOD_TOL:
-                raise PreconditionError(f"prime period changed to <= {q}")
+        _require_prime_period(xs, p, theta)
         node = ContinuationNode(t_next, theta, slope_at(t_next, theta),
                                 abs(xs[p]), iters)
         return node, node
 
-    res0 = abs(iterates(family_eval(F, 0.0, w=w, theta=theta0), p)[p])
-    if res0 > 10.0 * NEWTON_TOL:
+    xs = iterates(family_eval(F, 0.0, w=w, theta=theta0), p)
+    if abs(xs[p]) > 10.0 * NEWTON_TOL:
         theta0, _, xs, _ = _newton(F, w, p, 0.0, theta0, 30)
-        res0 = abs(xs[p])
+    _require_prime_period(xs, p, theta0)
+    res0 = abs(xs[p])
     center = ContinuationNode(0.0, theta0, slope_at(0.0, theta0), res0, 0)
     # the corrector keeps the step h: any failed node ends its side
     nodes, truncated = _sweep(
@@ -524,7 +529,6 @@ class TransversalReport:
     chain_value: float
     fd_value: float
     gap: float
-    p: int
 
 
 def transversal_derivative(F: MapFamily, p: int) -> TransversalReport:
@@ -547,4 +551,4 @@ def transversal_derivative(F: MapFamily, p: int) -> TransversalReport:
     g_hi = family_eval(F, h, check=False)
     g_lo = family_eval(F, -h, check=False)
     fd = (iterates(g_hi, p)[p] - iterates(g_lo, p)[p]) / (2.0 * h)
-    return TransversalReport(chain, fd, abs(chain - fd), p)
+    return TransversalReport(chain, fd, abs(chain - fd))

@@ -62,7 +62,8 @@ class NewtonDivergenceError(PexpandError):
 
 
 class CertificationError(PexpandError):
-    """Expansivity certification failed (epsilon underflow)."""
+    """Expansivity certification failed (epsilon underflow, or N0 above
+    the MAX_TERMS orbit budget)."""
 
 
 class KneadingDriftError(PexpandError):

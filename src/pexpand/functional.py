@@ -31,6 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .maps import (
+    MAX_TERMS,
     P_MAX,
     PERIOD_TOL,
     TOL_C,
@@ -51,9 +52,6 @@ J_TOL = 1e-12      # default series truncation tolerance
 ALPHA_TOL = 1e-12
 HORIZONTAL_TOL = 1e-9  # |J| at or below this counts as horizontal
 SIDE_TAIL = 1e-12  # summation floor for the C+- series
-# Series depth grows like 1/(lambda_f - 1); a valid map with lambda_f = 1+1e-9
-# asks for ~5e10 orbit steps, so deeper requests are refused, not run.
-MAX_TERMS = 10**6
 
 
 def a_priori_bound(f: PiecewiseMap, v: DirectionField) -> float:
@@ -236,7 +234,7 @@ class AlphaSolution:
             for y in islice(orbit(self.f, x), self.n_max):
                 if abs(y) < TOL_C:
                     break
-                prod *= self.f.deriv(y, 1)
+                prod *= self.f.deriv(y)
                 total += self.v.value(y) / prod
             return -total
         y = np.array(x, dtype=float, ndmin=1)
@@ -248,7 +246,7 @@ class AlphaSolution:
             if live.size == 0:
                 break
             ys = y[live]
-            prod[live] *= self.f.deriv(ys, 1)
+            prod[live] *= self.f.deriv(ys)
             total[live] += self.v.value(ys) / prod[live]
             ys = self.f.value(ys)
             y[live] = ys
@@ -256,8 +254,6 @@ class AlphaSolution:
         out = -total
         out[at_c] = 0.0
         return out
-
-    __call__ = value
 
 
 def alpha(f: PiecewiseMap, v: DirectionField, tol: float = ALPHA_TOL) -> AlphaSolution:
@@ -306,7 +302,7 @@ def check_twisted_cohomology(f: PiecewiseMap, v: DirectionField,
     if xs.size == 0:
         raise PreconditionError("no grid point outside the critical band")
     r = np.abs(v.value(xs) - sol.value(f.value(xs))
-               + f.deriv(xs, 1) * sol.value(xs))
+               + f.deriv(xs) * sol.value(xs))
     i = int(np.argmax(r))
     return CohomologyReport(float(r[i]), float(xs[i]), int(xs.size))
 
@@ -351,8 +347,6 @@ class PhaseConsistency:
     quotient: float
     j: JResult
     gap: float
-    k: int
-    relaxed_observable: bool
 
 
 def param_phase_consistency(F: MapFamily, t0: float, k: int,
@@ -380,8 +374,7 @@ def param_phase_consistency(F: MapFamily, t0: float, k: int,
                         for i in range(k))
     quotient = deriv_t / p_top
     j = j_functional(f, v)
-    return PhaseConsistency(quotient, j, abs(quotient - j.require_value()),
-                            k, v.relaxed)
+    return PhaseConsistency(quotient, j, abs(quotient - j.require_value()))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ nothing time- or host-dependent is ever included.
 """
 
 import json
+import math
+from contextlib import contextmanager
 from pathlib import Path
 
 from .conjugacy import ConjugacyReport, ConjugacyTable, entry_residuals
@@ -37,6 +39,28 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+@contextmanager
+def reading(what: str):
+    """Refuse a config entry that is missing or does not convert or
+    construct (KeyError, ValueError, TypeError) as a PreconditionError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise PreconditionError(f"{what} config needs {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(
+            f"cannot read {what} from config: {exc}") from None
+
+
+def number(value, kind, what: str):
+    """A config scalar read as a finite ``kind`` (int or float)."""
+    with reading(what):
+        out = kind(value)
+        if not math.isfinite(out):
+            raise ValueError(f"{value!r} is not finite")
+    return out
+
+
 def parse_map(node) -> PiecewiseMap:
     """A builtin name, or {"left": [...], "right": [...], "k": int}."""
     if isinstance(node, str):
@@ -45,14 +69,12 @@ def parse_map(node) -> PiecewiseMap:
         raise PreconditionError(
             f"unknown builtin map {node!r}; have {sorted(BUILTIN_MAPS)}")
     if isinstance(node, dict):
-        if "slope" in node:
-            return symmetric_tent(float(node["slope"]),
-                                  int(node.get("k", 3)))
-        try:
+        with reading("map"):
+            if "slope" in node:
+                return symmetric_tent(float(node["slope"]),
+                                      int(node.get("k", 3)))
             return PiecewiseMap(tuple(node["left"]), tuple(node["right"]),
                                 int(node.get("k", 3)))
-        except KeyError as exc:
-            raise PreconditionError(f"map config needs {exc}") from None
     raise PreconditionError(f"cannot read a map from {node!r}")
 
 
@@ -63,13 +85,10 @@ def parse_field(node) -> DirectionField:
         raise PreconditionError(
             f"unknown builtin field {node!r}; have {sorted(BUILTIN_FIELDS)}")
     if isinstance(node, dict):
-        try:
-            left = tuple(node["left"])
-            right = tuple(node.get("right", node["left"]))
-        except KeyError as exc:
-            raise PreconditionError(f"field config needs {exc}") from None
-        return DirectionField(left, right,
-                              relaxed=bool(node.get("relaxed", False)))
+        with reading("field"):
+            return DirectionField(tuple(node["left"]),
+                                  tuple(node.get("right", node["left"])),
+                                  relaxed=bool(node.get("relaxed", False)))
     raise PreconditionError(f"cannot read a field from {node!r}")
 
 
@@ -77,15 +96,16 @@ def parse_family(node) -> MapFamily:
     if not isinstance(node, dict):
         raise PreconditionError(f"cannot read a family from {node!r}")
     base = parse_map(_require(node, "base"))
-    terms = []
-    for raw in node.get("terms", ()):
-        field = parse_field(_require(raw, "field"))
-        powers = tuple(int(p) for p in raw.get("t_powers", (1,)))
-        terms.append(FamilyTerm(field, powers))
-    domain = tuple(float(v) for v in node.get("domain", (-0.02, 0.02)))
-    if len(domain) != 2:
-        raise PreconditionError("family domain must be [lo, hi]")
-    return MapFamily(base, tuple(terms), domain)
+    with reading("family"):
+        terms = []
+        for raw in node.get("terms", ()):
+            field = parse_field(_require(raw, "field"))
+            powers = tuple(int(p) for p in raw.get("t_powers", (1,)))
+            terms.append(FamilyTerm(field, powers))
+        domain = tuple(float(v) for v in node.get("domain", (-0.02, 0.02)))
+        if len(domain) != 2:
+            raise PreconditionError("family domain must be [lo, hi]")
+        return MapFamily(base, tuple(terms), domain)
 
 
 # ---------------------------------------------------------------------------

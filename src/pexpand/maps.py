@@ -43,6 +43,10 @@ BOUNDARY_SLACK = 1e-12    # allowed overshoot of f(0) above 1
 ENDPOINT_TOL = 1e-9       # float slack for the boundary fixing check
 P_MAX = 64                # deepest period the periodicity search tries
 KNEADING_DEPTH = 30       # kneading prefix that certifies a topological class
+# Orbit budget: a J series depth, or an expansivity N0, grows like
+# 1/(lambda_f - 1), so a valid map with lambda_f = 1+1e-9 would ask for
+# ~5e10 steps; deeper requests are refused, not run.
+MAX_TERMS = 10**6
 
 
 def _coeffs(raw) -> tuple[float, ...]:
@@ -177,17 +181,9 @@ class PiecewiseMap:
             return _on_branches(self.left, self.right, _onto_interval(x))
         return float(_pval(self.left if x < 0.0 else self.right, x))
 
-    def deriv(self, x, order: int = 1, side: str | None = None):
-        """Branch derivative at x; at x = 0 with order >= 1 a side is required.
-
-        An ndarray x is evaluated elementwise and may not contain 0.
-        """
-        if order == 0:
-            return self.value(x)
-        if order == 1:
-            left, right = self.dleft, self.dright
-        else:
-            left, right = _der(self.left, order), _der(self.right, order)
+    def deriv(self, x, *, side: str | None = None):
+        """Df at a float, or elementwise at an ndarray; at x = 0 a side
+        ('L' or 'R') is required, and an ndarray may not contain 0."""
         if isinstance(x, np.ndarray):
             if (x == 0.0).any():
                 raise PreconditionError(
@@ -196,18 +192,18 @@ class PiecewiseMap:
             if side not in ("L", "R"):
                 raise PreconditionError(
                     "derivative at the critical point needs side='L' or 'R'")
-            return float(_pval(left if side == "L" else right, x))
-        return _on_branches(left, right, x)
+            return float(_pval(self.dleft if side == "L" else self.dright, x))
+        return _on_branches(self.dleft, self.dright, x)
 
     @property
     def df_minus(self) -> float:
         """One-sided slope at c from the left (positive for valid maps)."""
-        return self.deriv(0.0, 1, "L")
+        return self.deriv(0.0, side="L")
 
     @property
     def df_plus(self) -> float:
         """One-sided slope at c from the right (negative for valid maps)."""
-        return self.deriv(0.0, 1, "R")
+        return self.deriv(0.0, side="R")
 
     def add_scaled(self, direction: "DirectionField", s: float) -> "PiecewiseMap":
         """Return the map with coefficients self + s*direction, same k."""
@@ -247,8 +243,6 @@ class ValidationReport:
     passed: bool
     checks: tuple[ValidationCheck, ...]
     lambda_f: float | None
-    df_minus_c: float
-    df_plus_c: float
     critical_value: float
 
     def failures(self) -> tuple[ValidationCheck, ...]:
@@ -311,8 +305,7 @@ def validate(f: PiecewiseMap) -> ValidationReport:
 
     passed = all(c.passed for c in checks)
     lam = min(lo_l, -hi_r) if (ok_l and ok_r) else None
-    return ValidationReport(passed, tuple(checks), lam,
-                            f.deriv(0.0, 1, "L"), f.deriv(0.0, 1, "R"), cv)
+    return ValidationReport(passed, tuple(checks), lam, cv)
 
 
 def require_valid(f: PiecewiseMap) -> ValidationReport:
@@ -361,7 +354,6 @@ class CriticalOrbit:
     points: tuple[float, ...]
     products: tuple[float, ...]
     truncated_at: int | None
-    tol_c: float
 
 
 def critical_orbit(f: PiecewiseMap, n: int, tol_c: float = TOL_C) -> CriticalOrbit:
@@ -376,27 +368,16 @@ def critical_orbit(f: PiecewiseMap, n: int, tol_c: float = TOL_C) -> CriticalOrb
             truncated = i
             break
         if i < n:
-            d = f.deriv(x, 1)
+            d = f.deriv(x)
             if d == 0.0:
                 raise PreconditionError(
                     f"zero branch derivative at orbit point {x!r}")
             prod *= d
             products.append(prod)
-    return CriticalOrbit(points, tuple(products), truncated, tol_c)
+    return CriticalOrbit(points, tuple(products), truncated)
 
 
-@dataclass(frozen=True)
-class Itinerary:
-    symbols: str
-    depth: int
-    tol_c: float
-
-    def __post_init__(self):
-        if set(self.symbols) - set("LCR"):
-            raise ValueError("itinerary symbols must be L, C or R")
-
-
-def itinerary(f: PiecewiseMap, x: float, n: int) -> Itinerary:
+def itinerary(f: PiecewiseMap, x: float, n: int) -> str:
     """L/C/R symbols of the length-n orbit of x.
 
     A point in the critical band |y| < TOL_C gets symbol C and the orbit
@@ -404,12 +385,11 @@ def itinerary(f: PiecewiseMap, x: float, n: int) -> Itinerary:
     """
     if n < 1:
         raise PreconditionError("itinerary depth must be >= 1")
-    symbols = ("C" if abs(y) < TOL_C else "L" if y < 0.0 else "R"
-               for y in islice(orbit(f, x), n))
-    return Itinerary("".join(symbols), n, TOL_C)
+    return "".join("C" if abs(y) < TOL_C else "L" if y < 0.0 else "R"
+                   for y in islice(orbit(f, x), n))
 
 
-def kneading(f: PiecewiseMap, n: int) -> Itinerary:
+def kneading(f: PiecewiseMap, n: int) -> str:
     return itinerary(f, 0.0, n)
 
 
@@ -422,8 +402,6 @@ class PeriodDetection:
     period: int | None
     residual: float | None
     ambiguous: tuple[tuple[int, float], ...]
-    p_max: int
-    tol: float
 
     @property
     def clean(self) -> bool:
@@ -445,18 +423,10 @@ def detect_periodic_critical(f: PiecewiseMap, p_max: int = P_MAX,
     for q, x in enumerate(islice(orbit(f, 0.0, 0.0), 1, p_max + 1), 1):
         r = abs(x)
         if r < tol:
-            return PeriodDetection(q, r, tuple(band), p_max, tol)
+            return PeriodDetection(q, r, tuple(band))
         if r < HYSTERESIS * tol:
             band.append((q, r))
-    return PeriodDetection(None, None, tuple(band), p_max, tol)
-
-
-def require_clean_period(det: PeriodDetection) -> PeriodDetection:
-    if not det.clean:
-        raise AmbiguousPeriodicityError(
-            f"periodicity ambiguous in band [tol, 10*tol): {det.ambiguous}",
-            det.ambiguous)
-    return det
+    return PeriodDetection(None, None, tuple(band))
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +438,6 @@ class CriticalRelationSet:
     canonical: tuple[tuple[int, int], ...]
     derived: tuple[tuple[int, int], ...]
     ambiguous: tuple[tuple[int, int], ...]
-    depth: int
-    tol: float
 
     @property
     def relations(self) -> tuple[tuple[int, int], ...]:
@@ -503,7 +471,7 @@ def critical_relations(f: PiecewiseMap, depth: int = 8,
         else:
             canonical.append((i, j))
     return CriticalRelationSet(tuple(canonical), tuple(sorted(derived)),
-                               tuple(sorted(band)), depth, tol)
+                               tuple(sorted(band)))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +492,11 @@ def is_good(f: PiecewiseMap) -> GoodnessResult:
     case; +inf sentinel otherwise.
     """
     require_valid(f)
-    det = require_clean_period(detect_periodic_critical(f))
+    det = detect_periodic_critical(f)
+    if not det.clean:
+        raise AmbiguousPeriodicityError(
+            f"periodicity ambiguous in band [tol, 10*tol): {det.ambiguous}",
+            det.ambiguous)
     if det.period is None:
         return GoodnessResult(True, math.inf, None)
     orb = critical_orbit(f, det.period, tol_c=PERIOD_TOL)
@@ -542,18 +514,29 @@ class ExpansivityCertificate:
     images: tuple[tuple[float, float], ...]
 
 
+def _n0(lam: float) -> int:
+    """Smallest N0 >= 3 with lam**(N0 - 2) > 2, for lam > 1: the log
+    quotient in closed form, its rounding settled by float pow itself."""
+    n0 = 3 + math.floor(math.log(2.0) / math.log1p(lam - 1.0))
+    while lam ** (n0 - 2) <= 2.0:
+        n0 += 1
+    while n0 > 3 and lam ** (n0 - 3) > 2.0:
+        n0 -= 1
+    return n0
+
+
 def expansivity_certificate(f: PiecewiseMap) -> ExpansivityCertificate:
     """Certify c stays out of the interiors of f^i[-eps, eps], i = 1..N0.
 
-    N0 is the smallest integer with lambda_f^(N0-2) > 2; eps is found by
-    halving from 0.5.  When an image touches c on its boundary (within
-    TOL_C, the periodic-return case) that index is flagged as a contact
-    and excluded from the margin minimum.
+    N0 is the smallest integer with lambda_f^(N0-2) > 2, refused above
+    MAX_TERMS; eps is found by halving from 0.5.  When an image touches c
+    on its boundary (within TOL_C, the periodic-return case) that index
+    is flagged as a contact and excluded from the margin minimum.
     """
-    lam = require_valid(f).lambda_f
-    n0 = 3
-    while lam ** (n0 - 2) <= 2.0:
-        n0 += 1
+    n0 = _n0(require_valid(f).lambda_f)
+    if n0 > MAX_TERMS:
+        raise CertificationError(f"N0 = {n0} images exceed MAX_TERMS="
+                                 f"{MAX_TERMS}; lambda_f is too close to 1")
     eps = 0.5
     while eps >= 1e-12:
         lo, hi = -eps, eps

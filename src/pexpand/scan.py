@@ -69,7 +69,7 @@ def _node(at, t: float, kneading_depth: int, relation_depth: int,
     """The record of the node t, whose map and velocity are ``at(t)``."""
     try:
         f, v = at(t)
-        kn = kneading(f, kneading_depth).symbols
+        kn = kneading(f, kneading_depth)
         rel = critical_relations(f, relation_depth, tol=period_tol)
         det = detect_periodic_critical(f, tol=period_tol)
         j = j_functional(f, v, period_tol=period_tol)
@@ -98,7 +98,7 @@ def _signature(F: MapFamily, t: float, kneading_depth: int,
                relation_depth: int, period_tol: float):
     try:  # only polynomial families are localized; the velocity is not needed
         f = family_eval(F, t)
-        return (kneading(f, kneading_depth).symbols,
+        return (kneading(f, kneading_depth),
                 critical_relations(f, relation_depth, tol=period_tol)
                 .relations)
     except PreconditionError:
@@ -143,7 +143,7 @@ def _newton_crossing(F: MapFamily, t_lo: float, t_hi: float, i: int,
                 return None, n
             d = v.value(0.0)
             for x in xs[1:i]:
-                d = f.deriv(x, 1) * d + v.value(x)
+                d = f.deriv(x) * d + v.value(x)
         except PreconditionError:
             return None, n
         g = xs[i]
@@ -400,19 +400,21 @@ def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
     """Periodic-critical families closing in on an in-class family.
 
     The family must show no transition on a 41-node scan of its domain.
-    For each requested period p, a root theta_p of g^p(c) = c is hunted
-    from 12 log-spaced seed magnitudes in [1e-4, 0.08] on both sides of 0
-    and continued in t, in 10 fixed steps per side, alongside the reference
-    deformation; the rung distance is the sup over shared nodes of the
-    grid norm of g_t - f_t through derivative order k-1.  If the base
-    critical point is already periodic the ladder is the single trivial
-    rung theta = 0 at distance 0, which is complete as it stands;
-    otherwise fewer than 2 roots marks the result partial rather than
-    failing.
+    For each requested period p (all >= 2), a root theta_p of g^p(c) = c
+    is hunted from 12 log-spaced seed magnitudes in [1e-4, 0.08] on both
+    sides of 0 and continued in t, in 10 fixed steps per side, alongside
+    the reference deformation; the rung distance is the sup over shared
+    nodes of the grid norm of g_t - f_t through derivative order k-1.  If
+    the base critical point is already periodic the ladder is the single
+    trivial rung theta = 0 at distance 0, which is complete as it stands;
+    otherwise fewer than 2 roots marks the result partial, not failed.
     """
     lo, hi = F.domain
     if not lo < 0.0 < hi:
         raise PreconditionError("family domain must contain t = 0")
+    if any(p < 2 for p in periods):
+        raise PreconditionError(
+            f"ladder periods must be >= 2, got {list(periods)}")
     grid_size(grid_n)
     sweep = run_scan(F, np.linspace(lo, hi, 41), localize=False)
     if sweep.transitions:

@@ -1,4 +1,4 @@
-"""Itinerary realization, conjugacy transport, and table verification."""
+"""Realization of itineraries, conjugacy transport, and table verification."""
 
 import dataclasses
 import math
@@ -81,7 +81,7 @@ class TestPointFromItinerary:
         assert exc.value.index == 0
 
     def test_critical_word(self, tent):
-        word = mp.kneading(tent, 40).symbols
+        word = mp.kneading(tent, 40)
         assert cj.point_from_itinerary(tent, word).x == 0.0
 
     def test_interior_c_rejected(self, golden):
@@ -106,7 +106,7 @@ class TestConjugatePoint:
         checked = 0
         while checked < 40:
             x = -1.0 + 2.0 * rng.random()
-            word = mp.itinerary(golden, x, 40).symbols
+            word = mp.itinerary(golden, x, 40)
             if "C" in word[1:]:
                 continue
             r = cj.conjugate_point(golden, golden, x)
@@ -155,8 +155,8 @@ class TestConjugatePoint:
     def test_itinerary_preserved(self, golden, tent):
         n = 40
         r = cj.conjugate_point(golden, tent, 0.3, n=n)
-        w0 = mp.itinerary(golden, 0.3, n - 5).symbols
-        w1 = mp.itinerary(tent, r.y, n - 5).symbols
+        w0 = mp.itinerary(golden, 0.3, n - 5)
+        w1 = mp.itinerary(tent, r.y, n - 5)
         assert w0 == w1
 
 

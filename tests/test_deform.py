@@ -245,7 +245,7 @@ class TestBuildTildeFamily:
         tr = df.integrate_deformation(transversal_family(), odd_field())
         fam = df.build_tilde_family(transversal_family(), odd_field(), tr)
         assert len(fam.samples) == len(tr.nodes)
-        assert fam.kneading.symbols == "CRL" * 10
+        assert fam.kneading == "CRL" * 10
         assert fam.drift_index is None
         for s in fam.samples:
             assert abs(fn.j_periodic_sum(s.map, s.velocity, 3)) < 1e-12
@@ -316,6 +316,18 @@ class TestContinuePeriodic:
     def test_period_below_one_refused(self, p):
         with pytest.raises(PreconditionError, match="period must be >= 1"):
             df.continue_periodic(transversal_family(), odd_field(), p, 0.0)
+
+    def test_lower_period_centre_refused_like_the_root_finder(self):
+        # theta = 0 is the golden tent, whose critical point has period 3:
+        # both routes refuse a period-6 root there with one check
+        F, w = pure_w_family(), bump_field()
+        with pytest.raises(PreconditionError) as found:
+            df.find_periodic_theta(F, w, 6)
+        with pytest.raises(PreconditionError) as continued:
+            df.continue_periodic(F, w, 6, 0.0)
+        assert type(found.value) is type(continued.value)
+        assert str(found.value) == str(continued.value) == (
+            "root at theta=0.0 has prime period 3 < 6")
 
     def test_matches_ode_on_horizontal_family(self):
         F, w = horizontal_family(), odd_field()

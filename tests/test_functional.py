@@ -119,7 +119,7 @@ class TestAlpha:
         sol = fn.alpha(f, v)
         for x in (-0.83, -0.2, 0.11, 0.47, 0.9):
             lhs = v.value(x)
-            rhs = sol.value(f.value(x)) - f.deriv(x, 1) * sol.value(x)
+            rhs = sol.value(f.value(x)) - f.deriv(x) * sol.value(x)
             assert lhs == pytest.approx(rhs, abs=5e-12)
 
     @pytest.mark.parametrize("f, xs", [
@@ -138,7 +138,7 @@ class TestAlpha:
                 return 0.0
             total, y, prod = 0.0, x, 1.0
             for _ in range(sol.n_max):
-                prod *= f.deriv(y, 1)
+                prod *= f.deriv(y)
                 total += sol.v.value(y) / prod
                 y = f.value(y)
                 if abs(y) < tol_c:

@@ -5,6 +5,7 @@ import pytest
 
 from pexpand import (
     AmbiguousPeriodicityError,
+    CertificationError,
     DirectionField,
     FamilyTerm,
     InvalidMapError,
@@ -40,8 +41,8 @@ class TestValidate:
         rep = validate(full_tent())
         assert rep.passed
         assert rep.lambda_f == pytest.approx(2.0, abs=1e-9)
-        assert rep.df_minus_c == 2.0
-        assert rep.df_plus_c == -2.0
+        assert full_tent().df_minus == 2.0
+        assert full_tent().df_plus == -2.0
 
     def test_golden_tent_passes(self):
         rep = validate(golden_tent())
@@ -106,9 +107,14 @@ class TestConstruction:
     def test_deriv_at_c_needs_side(self):
         f = full_tent()
         with pytest.raises(PreconditionError):
-            f.deriv(0.0, 1)
-        assert f.deriv(0.0, 1, "R") == -2.0
-        assert f.deriv(0.0, 1, "L") == 2.0
+            f.deriv(0.0)
+        assert f.deriv(0.0, side="R") == -2.0
+        assert f.deriv(0.0, side="L") == 2.0
+
+    def test_deriv_side_is_keyword_only(self):
+        # a derivative order in the old second place must not bind to side
+        with pytest.raises(TypeError):
+            full_tent().deriv(0.3, 1)
 
     def test_point_evaluations(self):
         f, g = full_tent(), golden_tent()
@@ -153,23 +159,23 @@ class TestCriticalOrbit:
 
 class TestItinerary:
     def test_full_tent_kneading(self):
-        assert kneading(full_tent(), 6).symbols == "CRLLLL"
+        assert kneading(full_tent(), 6) == "CRLLLL"
 
     def test_golden_kneading_periodic_via_snap(self):
-        assert kneading(golden_tent(), 7).symbols == "CRLCRLC"
-        assert kneading(golden_tent(), 30).symbols == "CRL" * 10
+        assert kneading(golden_tent(), 7) == "CRLCRLC"
+        assert kneading(golden_tent(), 30) == "CRL" * 10
 
     def test_left_endpoint_fixed(self):
-        assert itinerary(full_tent(), -1.0, 5).symbols == "LLLLL"
+        assert itinerary(full_tent(), -1.0, 5) == "LLLLL"
 
     def test_interior_point(self):
         # 0.3 -> 0.4 -> 0.2 -> 0.6 -> -0.2 under the full tent
-        assert itinerary(full_tent(), 0.3, 5).symbols == "RRRRL"
+        assert itinerary(full_tent(), 0.3, 5) == "RRRRL"
 
-    def test_symbols_validated(self):
-        from pexpand.maps import Itinerary
-        with pytest.raises(ValueError):
-            Itinerary("LXR", 3, 1e-10)
+    def test_caller_word_symbols_checked(self):
+        from pexpand.conjugacy import point_from_itinerary
+        with pytest.raises(PreconditionError, match="L, C or R"):
+            point_from_itinerary(full_tent(), "LXR")
 
 
 class TestPeriodDetection:
@@ -275,6 +281,35 @@ class TestExpansivityCertificate:
                 for _ in range(cert.n0):
                     a, b = interval_image(f, a, b)
                 assert (b - a) > lam * (hi - lo) * (1 - 1e-9)
+
+    def test_n0_closed_form_matches_loop(self):
+        from pexpand.maps import _n0
+
+        def loop(lam):
+            n0 = 3
+            while lam ** (n0 - 2) <= 2.0:
+                n0 += 1
+            return n0
+
+        # a smooth grid, and slopes lam = 2**(1/k) whose k-th power sits on
+        # the > 2 edge, with their float neighbours
+        lams = list(np.geomspace(1.0 + 1e-4, 4.0, 200))
+        for k in range(1, 80):
+            lam = 2.0 ** (1.0 / k)
+            lams += [np.nextafter(lam, 0.0), lam, np.nextafter(lam, 3.0)]
+        for lam in lams:
+            assert _n0(float(lam)) == loop(float(lam)), lam
+        assert _n0(2.0) == _n0(A) == 4
+
+    def test_n0_budget_refused_fast(self):
+        import time
+        from pexpand import functional
+        from pexpand.maps import MAX_TERMS
+        assert functional.MAX_TERMS is MAX_TERMS
+        start = time.perf_counter()
+        with pytest.raises(CertificationError, match="MAX_TERMS"):
+            expansivity_certificate(symmetric_tent(1.0 + 1e-7))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDirectionField:

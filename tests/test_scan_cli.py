@@ -254,7 +254,7 @@ class TestTangentDeformation:
         trace = sc.tangent_deformation(tent, mp.odd_field())
         assert trace.w == mp.bump_field()
         assert all(n.at_boundary for n in trace.nodes)
-        kneadings = {mp.kneading(trace.map_at(n.t), 30).symbols
+        kneadings = {mp.kneading(trace.map_at(n.t), 30)
                      for n in trace.nodes}
         assert kneadings == {"CR" + "L" * 28}
 
@@ -510,3 +510,53 @@ class TestCli:
             assert cli.main(["cor52", "--config", cfg, "--grid", n,
                              "--out", str(tmp_path / "o")]) == 1
             assert "at least 2 points" in capsys.readouterr().err
+
+
+_FAMILY = {"base": "golden_tent", "terms": [{"field": "bump"}]}
+_ODD_FAMILY = {"base": "golden_tent", "terms": [{"field": "odd"}]}
+_DEGREE_18 = [0.0] * 18 + [1.0]
+
+
+@pytest.mark.parametrize("cmd, payload", [
+    ("validate", {"map": {"slope": math.nan}}),
+    ("validate", {"map": {"slope": "abc"}}),
+    ("validate", {"map": {"left": ["x", 1.0], "right": [0.0, -1.0]}}),
+    ("validate", {"map": {"slope": 1.7, "k": 0}}),
+    ("j", {"map": "golden_tent", "field": {"left": [1.0]}}),
+    ("validate", {"map": {"left": _DEGREE_18, "right": _DEGREE_18}}),
+    ("scan", {"family": {**_FAMILY, "domain": [1, 0]}}),
+    ("scan", {"family": {"base": "golden_tent",
+                         "terms": [{"field": "bump", "t_powers": [0]}]}}),
+    ("scan", {"family": {"base": "golden_tent", "terms": 5}}),
+    ("deform", {"family": {"base": "golden_tent", "terms": [{"field": {
+        "left": [0.0, 0.0, 1.0], "relaxed": True}}]}, "w": "bump"}),
+    ("continue", {"family": _ODD_FAMILY, "w": "bump", "period": 3,
+                  "theta0": math.nan}),
+    ("continue", {"family": _ODD_FAMILY, "w": "bump", "period": "x"}),
+    ("scan", {"family": _FAMILY, "grid": ["a"]}),
+    ("conjugacy", {"f0": "golden_tent", "f1": "golden_tent", "count": "x"}),
+    ("alpha", {"map": "golden_tent", "field": "bump", "n": "x"}),
+    ("cor52", {"family": {"base": "full_tent", "terms": [{"field": "odd"}]},
+               "periods": [0]}),
+], ids=["slope-nan", "slope-str", "left-str", "k-0", "field-boundary",
+        "degree-18", "domain-reversed", "t-power-0", "terms-int",
+        "relaxed-term", "theta0-nan", "period-str", "grid-str", "count-str",
+        "alpha-n-str", "ladder-period-0"])
+def test_malformed_config_exits_1(tmp_path, capsys, cmd, payload):
+    cfg = _write_cfg(tmp_path / "c.json", payload)
+    out = tmp_path / "o"
+    assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pexpand {cmd}: ") and "Traceback" not in err
+    assert not any(out.iterdir())  # refused before any output
+
+
+def test_continue_refuses_lower_period_at_centre(tmp_path, capsys):
+    # theta = 0 is the golden tent itself, whose critical point has period
+    # 3, so a period-6 continuation has no centre to start from
+    cfg = _write_cfg(tmp_path / "c.json",
+                     {"family": _ODD_FAMILY, "w": "bump", "period": 6})
+    assert cli.main(["continue", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "has prime period 3 < 6" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "continuation.csv").exists()
