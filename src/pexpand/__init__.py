@@ -68,7 +68,6 @@ from .deform import (
 from .conjugacy import (
     ConjugacyTable,
     conjugate_point,
-    generate_conjugacy_words,
     lipschitz_estimate,
     periodic_words,
     point_from_itinerary,

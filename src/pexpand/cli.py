@@ -151,11 +151,9 @@ def _cmd_conjugacy(cfg, out, args):
     f1 = _io.parse_map(_io._require(cfg, "f1"))
     depth = args.depth if args.depth is not None else _io.number(
         cfg.get("depth", _conjugacy.DEPTH_DEFAULT), int, "depth")
-    words = _conjugacy.generate_conjugacy_words(
-        f0, min_count=_io.number(cfg.get("count", 200), int, "count"),
-        max_period=_io.number(cfg.get("max_period", 8), int, "max_period"),
-        depth=depth)
-    table = _conjugacy.ConjugacyTable.from_words(f0, f1, words, depth=depth)
+    table = _conjugacy.ConjugacyTable.build(
+        f0, f1, _io.number(cfg.get("count", 200), int, "count"),
+        _io.number(cfg.get("max_period", 8), int, "max_period"), depth)
     tol = args.tol if args.tol is not None else 1e-8
     report = _conjugacy.verify_conjugacy(f0, f1, table, tol=tol)
     _io.emit_table(f0, f1, table, report, out)
@@ -188,7 +186,8 @@ def _cmd_cor52(cfg, out, args):
     kwargs = {}
     if "periods" in cfg:
         with _io.reading("periods"):
-            kwargs["periods"] = tuple(int(p) for p in cfg["periods"])
+            kwargs["periods"] = tuple(_io.number(p, int, "periods")
+                                      for p in cfg["periods"])
     if args.grid is not None:
         kwargs["grid_n"] = args.grid
     ladder = _scan.continuation_ladder(fam, w, **kwargs)

@@ -1,14 +1,16 @@
 """Conjugacies between maps of one topological class, via itinerary transfer.
 
-A point whose orbit stays clear of the critical band is pinned down by its
-L/R itinerary: backward composition of the (uniformly expanding) inverse
-branches contracts any seed interval by lambda^-1 per symbol, so a depth-n
-word determines the point to 2*lambda^-n.  Transferring the word from f0
-to f1 evaluates the conjugacy h with h o f0 = f1 o h on a table of safe
-points; verification re-checks the commutation numerically and the
-monotonicity that characterizes h as an orientation-preserving
-homeomorphism.  Points whose orbits do enter the band are refused, never
-interpolated.
+The inverse branches phi_L, phi_R contract by lambda^-1, so the points of a
+depth-n L/R word form a cylinder at most 2*lambda^-n wide, realized by
+pulling I back through the word, J <- phi_s(J & [-1, f(c)]).  A table of
+(x, h(x)), h o f0 = f1 o h, is a word tree grown on both maps at once: the
+roots are the periodic points of f0 and f1 paired by word, and a child of
+(x, y) is (phi0_s(x), phi1_s(y)), the conjugacy equation read backwards.
+Each entry carries an enclosure of its distance from the exact pair: a
+root's final bracket plus (|f^q(r) - r| + rounding) / (lambda^q - 1), a
+child's (e + INVERSE_TOL) / lambda from its parent's e.  Verification
+re-checks the commutation and the monotonicity of h; points whose orbits
+enter the critical band are refused, never interpolated.
 """
 
 from __future__ import annotations
@@ -19,21 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPointError, OrbitRefusedError, PreconditionError
-from .maps import (
-    TOL_C,
-    PiecewiseMap,
-    itinerary,
-    iterates,
-    lambda_of,
-    orbit,
-    _on_branches,
-    _pval,
-)
+from .maps import PiecewiseMap, itinerary, lambda_of, _on_branches, _pval
 
 INVERSE_TOL = 1e-13
 INVERSE_MAX_ITER = 80
-ADMIT_TOL = 1e-9
 DEPTH_DEFAULT = 40
+EPS = 2.0 ** -52        # spacing of the floats at 1
 
 
 def inverse_branch(f: PiecewiseMap, y: float, side: str) -> float:
@@ -52,13 +45,12 @@ def inverse_branch(f: PiecewiseMap, y: float, side: str) -> float:
     y = min(max(y, -1.0), cv)
     coeffs, dcoeffs = (f.left, f.dleft) if side == "L" else (f.right, f.dright)
     lo, hi = (-1.0, 0.0) if side == "L" else (0.0, 1.0)
-    increasing = side == "L"
     x = 0.5 * (lo + hi)
     for _ in range(INVERSE_MAX_ITER):
         res = float(_pval(coeffs, x)) - y
         if abs(res) < INVERSE_TOL or hi - lo < 1e-15:
             return x
-        if (res > 0.0) == increasing:
+        if (res > 0.0) == (side == "L"):
             hi = x
         else:
             lo = x
@@ -80,14 +72,11 @@ class RealizedPoint:
 
 def point_from_itinerary(f: PiecewiseMap, symbols,
                          n: int | None = None) -> RealizedPoint:
-    """Realize the point whose depth-n itinerary is the given word.
-
-    Backward inverse-branch composition from the interior anchor 0, each
-    intermediate clamped into the reachable set [-1, f(c)]; the forward
-    itinerary of the result is then required to reproduce the word, so a
-    word no point realizes (the clamp lied somewhere) raises NoPointError
-    with the first disagreeing index.
-    """
+    """Realize the point whose depth-n itinerary is the given word: the
+    midpoint of its cylinder, pulled back from I last symbol first (phi_R
+    swaps the ends), or c when the word starts with C and f(c) lies in the
+    cylinder of the rest.  An empty J & [-1, f(c)] before symbol i means
+    no point realizes the word from i on: NoPointError with index i."""
     word = str(symbols)
     if set(word) - set("LCR"):
         raise PreconditionError("symbols must be L, C or R")
@@ -99,39 +88,25 @@ def point_from_itinerary(f: PiecewiseMap, symbols,
     if "C" in word[1:]:
         raise PreconditionError(
             "C is only representable at index 0 (critical point itself)")
-    # Each branch maps its half onto [-1, f(c)], so a word fails exactly
-    # when the backward chain asks for a preimage of a value above f(c):
-    # the clamp then engages by more than solver noise.  Clamping by a
-    # rounding-level amount happens on admissible words too (chain values
-    # ARE orbit points, some of them at f(c) itself).
-    excess = 0.0
-    if word[0] == "C":
-        x = 0.0
-    else:
-        cv = f.critical_value
-        z = 0.0
-        for s in reversed(word):
-            excess = max(excess, z - cv)
-            z = inverse_branch(f, min(max(z, -1.0), cv), s)
-        x = z
-    # Forward verification.  Inverse solves leave ~1e-13 residuals that
-    # forward iteration amplifies by lambda per step, so a disagreement
-    # only witnesses inadmissibility while the orbit point clears that
-    # accumulated error (or the chain was truncated by the clamp); past
-    # the first sub-resolution index the tail is accepted uncertified.
     lam = lambda_of(f)
-    amp = 10.0 * INVERSE_TOL * lam / (lam - 1.0) + TOL_C
-    truncated = excess > ADMIT_TOL
-    for i, (s, z) in enumerate(zip(word, orbit(f, x))):
-        here = "C" if abs(z) < TOL_C else ("L" if z < 0.0 else "R")
-        if here != s:
-            if truncated or abs(z) > amp:
-                raise NoPointError(
-                    f"no point realizes {word!r} (orbit of best candidate "
-                    f"is {here!r} at index {i})", i)
-            break
-        amp *= lam
-    return RealizedPoint(x, 2.0 * lam ** (-n), word)
+    # the ends carry solver residuals, contracted: sum INVERSE_TOL/lam^k
+    slack = INVERSE_TOL / (lam - 1.0)
+    bound = max(2.0 * lam ** -n, lam ** -n + slack)
+    cv = f.critical_value
+    start = 1 if word[0] == "C" else 0
+    lo, hi = -1.0, 1.0
+    for i in range(n - 1, start - 1, -1):
+        hi = min(hi, cv)
+        if lo > hi:
+            raise NoPointError(
+                f"no point realizes {word!r} (the cylinder of its tail "
+                f"after index {i} lies above f(c))", i)
+        a, b = inverse_branch(f, lo, word[i]), inverse_branch(f, hi, word[i])
+        lo, hi = (a, b) if word[i] == "L" else (b, a)
+    if start and not lo - slack <= cv <= hi + slack:
+        raise NoPointError(f"no point realizes {word!r} (f(c) is not in "
+                           f"the cylinder of its tail)", 0)
+    return RealizedPoint(0.0 if start else 0.5 * (lo + hi), bound, word)
 
 
 @dataclass(frozen=True)
@@ -180,22 +155,18 @@ class ConjugacyTable:
     depth: int
 
     @classmethod
-    def from_words(cls, f0: PiecewiseMap, f1: PiecewiseMap, words,
-                   depth: int = DEPTH_DEFAULT) -> "ConjugacyTable":
-        rows = []
-        for w in words:
-            rx = point_from_itinerary(f0, w, depth)
-            ry = point_from_itinerary(f1, w, depth)
-            rows.append(TableEntry(rx.x, rx.word, ry.x,
-                                   max(rx.bound, ry.bound)))
-        rows.sort(key=lambda e: e.x)
-        return cls(tuple(rows), depth)
+    def build(cls, f0: PiecewiseMap, f1: PiecewiseMap, min_count: int = 200,
+              max_period: int = 8,
+              depth: int = DEPTH_DEFAULT) -> "ConjugacyTable":
+        """At least min_count entries, on generate_conjugacy_words' tree."""
+        return cls.from_words(generate_conjugacy_words(
+            f0, f1, min_count, max_period, depth), depth)
 
-    def sources(self) -> tuple[float, ...]:
-        return tuple(e.x for e in self.entries)
-
-    def images(self) -> tuple[float, ...]:
-        return tuple(e.y for e in self.entries)
+    @classmethod
+    def from_words(cls, rows, depth: int) -> "ConjugacyTable":
+        """The table of (x, word, e0, y, e1) rows; bound max(e0, e1)."""
+        return cls(tuple(TableEntry(x, w, y, max(e0, e1))
+                         for x, w, e0, y, e1 in sorted(rows)), depth)
 
 
 @dataclass(frozen=True)
@@ -264,58 +235,73 @@ def verify_conjugacy(f0: PiecewiseMap, f1: PiecewiseMap,
 # word generation
 
 
-def _periodic_roots(f: PiecewiseMap, max_period: int,
-                    grid_n: int = 40001) -> list[tuple[float, int]]:
+def _periodic_roots(f: PiecewiseMap, max_period: int, grid_n: int = 40001,
+                    ) -> list[tuple[float, int, float]]:
     """All solutions of f^q(x) = x, q <= max_period, by grid sign changes.
 
     |Df^q| > 1 rules out tangential roots, so every root is a transversal
     crossing of the diagonal; the grid only has to be finer than the lap
-    width (~ lambda^-q).  Returns (root, prime period) pairs: q increases,
-    so a point first appears at its prime period and later stages dedupe.
+    width (~ lambda^-q).  One q's brackets are bisected as one array
+    through f.value, bit for bit a scalar bisection, until no midpoint
+    moves.  Returns (root, prime period, enclosure): q increases, so a
+    point first appears at its prime period and later stages dedupe.
+    |D(f^q - id)| >= lambda^q - 1 on a lap, whence the enclosure.
     """
     xs = np.linspace(-1.0, 1.0, grid_n)
-    roots: list[tuple[float, int]] = []
+    lam = lambda_of(f)
+    # Horner at |x| <= 1 errs by at most gamma_2d sum|c_j| (Higham, 5.1);
+    # sum j|c_j| bounds |Df|, by which each step's error grows later
+    err = max(len(c) * EPS * sum(map(abs, c)) for c in (f.left, f.right))
+    lip = max(sum(j * abs(a) for j, a in enumerate(c))
+              for c in (f.left, f.right))
+    roots: list[tuple[float, int, float]] = []   # kept sorted
 
-    def add(r: float, q: int):
-        for seen, _ in roots:
-            if abs(seen - r) < 1e-9:
-                return
-        roots.append((r, q))
+    def add(r: float, q: int, bound: float):
+        j = bisect.bisect_left(roots, (r,))
+        if all(abs(s - r) >= 1e-9 for s, _, _ in roots[max(j - 1, 0):j + 1]):
+            roots.insert(j, (r, q, bound))
 
     ys = xs.copy()
     for q in range(1, max_period + 1):
         ys = _on_branches(f.left, f.right, ys)
         g = ys - xs
+        slack = err * sum(lip ** k for k in range(q)) + EPS
+        scale = 1.0 / (lam ** q - 1.0)
         for i in np.flatnonzero(np.abs(g) < 1e-13):
-            add(float(xs[i]), q)
-        for i in np.flatnonzero(g[:-1] * g[1:] < 0.0):
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            glo = float(g[i])
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                gm = iterates(f, q, mid)[q] - mid
-                if glo * gm <= 0.0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-            add(0.5 * (lo + hi), q)
-    roots.sort()
+            add(float(xs[i]), q, (abs(float(g[i])) + slack) * scale)
+        i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+        lo, hi, glo = xs[i], xs[i + 1], g[i]
+        for k in range(61):
+            mid = gm = 0.5 * (lo + hi)
+            for _ in range(q):
+                gm = f.value(gm)
+            gm = gm - mid
+            # once every midpoint is its lo or hi, no bracket moves again:
+            # mid is the 0.5 (lo + hi) that 60 scalar halvings end with
+            if k == 60 or ((mid == lo) | (mid == hi)).all():
+                break
+            left = glo * gm <= 0.0
+            hi = np.where(left, mid, hi)
+            lo, glo = np.where(left, lo, mid), np.where(left, glo, gm)
+        for r, w, res in zip(mid.tolist(), (hi - lo).tolist(),
+                             np.abs(gm).tolist()):
+            add(r, q, w + (res + slack) * scale)
     return roots
 
 
 def _periodic_points(f: PiecewiseMap, max_period: int,
-                     depth: int) -> list[tuple[float, str]]:
-    """(point, depth-word) pairs of the periodic points, one per L/R word."""
+                     depth: int) -> list[tuple[float, str, float]]:
+    """(point, depth-word, enclosure), one per L/R word."""
     # only the first q symbols are read off the orbit; the rest is the
     # periodic extension (forward iteration of a double root garbles
     # symbols once lambda^i swallows the last bits of precision).
     seen: set[str] = set()
     out = []
-    for r, q in _periodic_roots(f, max_period):
+    for r, q, e in _periodic_roots(f, max_period):
         w = (itinerary(f, r, q) * (depth // q + 1))[:depth]
         if "C" not in w and w not in seen:
             seen.add(w)
-            out.append((r, w))
+            out.append((r, w, e))
     return out
 
 
@@ -328,44 +314,58 @@ def periodic_words(f: PiecewiseMap, max_period: int = 8,
     are not representable by a pure L/R word.  Each point of an orbit has
     its own itinerary, so the set is closed under shift.
     """
-    return tuple(w for _, w in _periodic_points(f, max_period, depth))
+    return tuple(w for _, w, _ in _periodic_points(f, max_period, depth))
 
 
-def generate_conjugacy_words(f: PiecewiseMap, min_count: int = 200,
-                             max_period: int = 8,
-                             depth: int = 60) -> tuple[str, ...]:
-    """At least min_count admissible words, closed under shift.
+def generate_conjugacy_words(f0: PiecewiseMap, f1: PiecewiseMap,
+                             min_count: int, max_period: int, depth: int,
+                             ) -> list[tuple[float, str, float, float, float]]:
+    """At least min_count words, closed under shift, realized on both maps
+    as (x, word, e0, y, e1) rows, e0 and e1 the enclosures of x and y.
 
-    The periodic words are extended by whole generations of inverse-branch
-    preimages: the word of a preimage is its branch symbol prepended to
-    the parent's word, so the shift of every included word is included.
-    Preimages landing inside the critical neighborhood are skipped (their
-    words would need a C).
+    The roots pair the periodic points of f0 and f1 by word (NoPointError
+    names a word of f0 that f1 lacks).  Whole generations of children with
+    word s + w[:depth-1] follow: a word already tabled is not solved again,
+    and a child f0 puts within 1e-9 of c (its word needs a C) is skipped.
     """
-    frontier = _periodic_points(f, max_period, depth)
-    seen = {w for _, w in frontier}
-    out = [w for _, w in frontier]
-    cv = f.critical_value
+    ones = {w: (y, e) for y, w, e in _periodic_points(f1, max_period, depth)}
+    frontier = []
+    for x, w, e0 in _periodic_points(f0, max_period, depth):
+        if w not in ones:
+            raise NoPointError(
+                f"f1 has no periodic point with the word {w!r} of the "
+                f"periodic point {x!r} of f0")
+        frontier.append((x, w, e0) + ones[w])
+    rows = list(frontier)
+    seen = {w for _, w, *_ in rows}
+    cv0, cv1 = f0.critical_value, f1.critical_value
+    lam0, lam1 = lambda_of(f0), lambda_of(f1)
     level = 0
-    while len(out) < min_count:
+    while len(rows) < min_count:
         if level > 8 or not frontier:
             raise PreconditionError(
-                f"word generation stalled at {len(out)} < {min_count}")
-        nxt: list[tuple[float, str]] = []
-        for x, w in frontier:
+                f"word generation stalled at {len(rows)} < {min_count}")
+        nxt = []
+        for x, w, e0, y, e1 in frontier:
             for side in ("L", "R"):
-                z = inverse_branch(f, min(max(x, -1.0), cv), side)
-                if abs(z) < 1e-9:
-                    continue
                 wz = side + w[:depth - 1]
                 if wz in seen:
                     continue
+                z = inverse_branch(f0, min(max(x, -1.0), cv0), side)
+                if abs(z) < 1e-9:
+                    continue
+                if y > cv1 + 1e-12:
+                    raise NoPointError(
+                        f"no point of f1 realizes {wz!r}: the point "
+                        f"{y!r} of its tail lies above f1(c)", 0)
                 seen.add(wz)
-                nxt.append((z, wz))
-                out.append(wz)
+                nxt.append((z, wz, (e0 + INVERSE_TOL) / lam0,
+                            inverse_branch(f1, y, side),
+                            (e1 + INVERSE_TOL) / lam1))
         frontier = sorted(nxt)
+        rows += frontier
         level += 1
-    return tuple(out)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +395,7 @@ def lipschitz_estimate(tilde, x: float, t_grid=None) -> LipschitzReport:
           for t in ts]
     constant = max(abs(hs[i + 1] - hs[i]) / abs(ts[i + 1] - ts[i])
                    for i in range(len(ts) - 1))
-    sup_vel = 0.0
-    lam = float("inf")
-    for s in tilde.samples:
-        sup_vel = max(sup_vel, s.velocity.sup_norm())
-        lam = min(lam, lambda_of(s.map))
+    sup_vel = max((s.velocity.sup_norm() for s in tilde.samples), default=0.0)
+    lam = min((lambda_of(s.map) for s in tilde.samples), default=float("inf"))
     shape = sup_vel / (1.0 - 1.0 / lam) if lam > 1.0 else float("inf")
     return LipschitzReport(constant, shape, len(ts))

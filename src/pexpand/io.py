@@ -53,11 +53,13 @@ def reading(what: str):
 
 
 def number(value, kind, what: str):
-    """A config scalar read as a finite ``kind`` (int or float)."""
+    """A config scalar as a finite ``kind``; an int must be integral."""
     with reading(what):
         out = kind(value)
         if not math.isfinite(out):
             raise ValueError(f"{value!r} is not finite")
+        if isinstance(value, float) and out != value:
+            raise ValueError(f"{value!r} is not an integer")
     return out
 
 
@@ -70,11 +72,10 @@ def parse_map(node) -> PiecewiseMap:
             f"unknown builtin map {node!r}; have {sorted(BUILTIN_MAPS)}")
     if isinstance(node, dict):
         with reading("map"):
+            k = number(node.get("k", 3), int, "map k")
             if "slope" in node:
-                return symmetric_tent(float(node["slope"]),
-                                      int(node.get("k", 3)))
-            return PiecewiseMap(tuple(node["left"]), tuple(node["right"]),
-                                int(node.get("k", 3)))
+                return symmetric_tent(float(node["slope"]), k)
+            return PiecewiseMap(tuple(node["left"]), tuple(node["right"]), k)
     raise PreconditionError(f"cannot read a map from {node!r}")
 
 
@@ -100,7 +101,8 @@ def parse_family(node) -> MapFamily:
         terms = []
         for raw in node.get("terms", ()):
             field = parse_field(_require(raw, "field"))
-            powers = tuple(int(p) for p in raw.get("t_powers", (1,)))
+            powers = tuple(number(p, int, "t_powers")
+                           for p in raw.get("t_powers", (1,)))
             terms.append(FamilyTerm(field, powers))
         domain = tuple(float(v) for v in node.get("domain", (-0.02, 0.02)))
         if len(domain) != 2:

@@ -286,13 +286,15 @@ def validate(f: PiecewiseMap) -> ValidationReport:
         "boundary_fixed", ok,
         f"f(-1)={fm1!r}, f(1)={fp1!r}", None if ok else (-1.0 if abs(fm1 + 1) > ENDPOINT_TOL else 1.0)))
 
-    lo_l, _hi_l, w_l, _ = _certified_deriv_range(f.left, _GRID_LEFT)
+    # the checks refuse the inf and nan of an overflow, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo_l, _hi_l, w_l, _ = _certified_deriv_range(f.left, _GRID_LEFT)
+        _lo_r, hi_r, _, w_r = _certified_deriv_range(f.right, _GRID_RIGHT)
     ok_l = lo_l > 1.0
     checks.append(ValidationCheck(
         "expansion_left", ok_l, f"certified min Df on [-1,0] = {lo_l!r}",
         None if ok_l else w_l))
 
-    _lo_r, hi_r, _, w_r = _certified_deriv_range(f.right, _GRID_RIGHT)
     ok_r = hi_r < -1.0
     checks.append(ValidationCheck(
         "expansion_right", ok_r, f"certified max Df on [0,1] = {hi_r!r}",

@@ -214,8 +214,7 @@ def test_criterion_07_transversality_and_manifold_localization(
 def test_criterion_08_conjugacy_table(deformation):
     g = golden_tent()
     f1 = deformation.tilde.map_at(0.02)
-    words = cj.generate_conjugacy_words(g, 200, 8, 60)
-    table = cj.ConjugacyTable.from_words(g, f1, words, depth=60)
+    table = cj.ConjugacyTable.build(g, f1, 200, 8, 60)
     rep = cj.verify_conjugacy(g, f1, table, tol=1e-8)
     bound = 2.0 * lambda_of(g) ** -40
     worst_self = max(abs(cj.conjugate_point(g, g, e.x, 40).y - e.x)

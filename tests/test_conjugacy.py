@@ -4,6 +4,8 @@ import dataclasses
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
 
 from pexpand import conjugacy as cj
@@ -13,6 +15,7 @@ from pexpand import maps as mp
 from pexpand.errors import (NoPointError, OrbitRefusedError,
                             PreconditionError)
 
+import oracles
 from oracles import MP_A
 
 A = float(MP_A)
@@ -36,6 +39,16 @@ def horizontal_tilde(golden):
                        domain=(-0.01, 0.01))
     trace = df.integrate_deformation(fam, mp.bump_field())
     return df.build_tilde_family(fam, mp.bump_field(), trace)
+
+
+@pytest.fixture(scope="module")
+def wide_tilde(golden):
+    """Criterion 08's deformation: golden + the horizontal part of bump,
+    deformed along odd, on the default domain (-0.02, 0.02)."""
+    kp = fn.kernel_projection(golden, mp.bump_field(), mp.odd_field())
+    fam = mp.MapFamily(golden, (mp.FamilyTerm(kp.field),))
+    trace = df.integrate_deformation(fam, mp.odd_field())
+    return df.build_tilde_family(fam, mp.odd_field(), trace)
 
 
 class TestInverseBranch:
@@ -91,6 +104,15 @@ class TestPointFromItinerary:
     def test_depth_beyond_word_rejected(self, golden):
         with pytest.raises(PreconditionError):
             cj.point_from_itinerary(golden, "RL", n=3)
+
+    @pytest.mark.parametrize("n", [20, 30, 40, 50, 60])
+    def test_period_six_word_every_depth(self, n):
+        # the itinerary of the period-6 point x = -0.6306661 of the 1.8
+        # tent; its cylinder never empties, whatever the depth
+        f = mp.symmetric_tent(1.8)
+        p = cj.point_from_itinerary(f, ("LLRRLR" * 11)[:60], n)
+        assert abs(p.x - (-0.6306661353474717)) <= p.bound
+        assert mp.itinerary(f, p.x, 20) == ("LLRRLR" * 4)[:20]
 
     def test_deep_word_near_fixed_point(self, tent):
         # backward composition stalls at solver tolerance near -1; the
@@ -176,10 +198,9 @@ class TestWordsAndTable:
             assert (w[1:] + "?")[:-1] in {u[: len(w) - 1] for u in words}
 
     def test_self_table(self, golden):
-        words = cj.generate_conjugacy_words(golden)
-        assert len(words) >= 200
-        table = cj.ConjugacyTable.from_words(golden, golden, words, depth=60)
-        xs = table.sources()
+        table = cj.ConjugacyTable.build(golden, golden, depth=60)
+        assert len(table.entries) >= 200
+        xs = [e.x for e in table.entries]
         assert all(xs[i] < xs[i + 1] for i in range(len(xs) - 1))
         rep = cj.verify_conjugacy(golden, golden, table)
         assert rep.passed and rep.monotonic
@@ -188,8 +209,7 @@ class TestWordsAndTable:
         assert rep.coverage >= 200
 
     def test_cross_table(self, golden, tent):
-        words = cj.generate_conjugacy_words(golden)
-        table = cj.ConjugacyTable.from_words(golden, tent, words, depth=60)
+        table = cj.ConjugacyTable.build(golden, tent, depth=60)
         rep = cj.verify_conjugacy(golden, tent, table)
         assert rep.passed and rep.monotonic and rep.unmatched == 0
         assert rep.max_residual < 1e-8
@@ -199,18 +219,157 @@ class TestWordsAndTable:
         assert rep.vacuous and rep.passed and rep.coverage == 0
 
     def test_corrupt_entry_breaks_monotonicity(self, golden):
-        words = cj.periodic_words(golden)
-        table = cj.ConjugacyTable.from_words(golden, golden, words, depth=60)
+        # min_count 0: the periodic points alone
+        table = cj.ConjugacyTable.build(golden, golden, 0, depth=60)
+        assert len(table.entries) == len(cj.periodic_words(golden))
         bad = list(table.entries)
         bad[5] = dataclasses.replace(bad[5], y=bad[40].y)
         rep = cj.verify_conjugacy(
             golden, golden, cj.ConjugacyTable(tuple(bad), table.depth))
         assert not rep.monotonic and not rep.passed
 
-    def test_unrealizable_word_propagates(self, golden):
-        with pytest.raises(NoPointError):
-            cj.ConjugacyTable.from_words(golden, golden,
-                                         ("RR" + "L" * 58,), depth=60)
+    def test_unrealizable_word_propagates(self, golden, tent):
+        # the full tent has periodic words the golden tent lacks
+        with pytest.raises(NoPointError, match=r"word '[LR]{60}'"):
+            cj.ConjugacyTable.build(tent, golden, depth=60)
+
+    def test_tail_above_critical_value_raises(self, golden, tent):
+        # the fixed points agree, but the tent's preimage tree climbs above
+        # the golden tent's critical value 0.618
+        with pytest.raises(NoPointError, match=r"realizes '[LR]{40}'"):
+            cj.ConjugacyTable.build(tent, golden, 100, 1)
+
+
+def _scalar_roots(f, max_period, grid_n=40001):
+    """The root search before batching: one scalar bisection per bracket."""
+    xs = np.linspace(-1.0, 1.0, grid_n)
+    roots = []
+
+    def add(r, q):
+        if all(abs(seen - r) >= 1e-9 for seen, _ in roots):
+            roots.append((r, q))
+
+    ys = xs.copy()
+    for q in range(1, max_period + 1):
+        ys = mp._on_branches(f.left, f.right, ys)
+        g = ys - xs
+        for i in np.flatnonzero(np.abs(g) < 1e-13):
+            add(float(xs[i]), q)
+        for i in np.flatnonzero(g[:-1] * g[1:] < 0.0):
+            lo, hi = float(xs[i]), float(xs[i + 1])
+            glo = float(g[i])
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                gm = mp.iterates(f, q, mid)[q] - mid
+                if glo * gm <= 0.0:
+                    hi = mid
+                else:
+                    lo, glo = mid, gm
+            add(0.5 * (lo + hi), q)
+    return sorted(roots)
+
+
+QUARTIC = mp.golden_tent().add_scaled(mp.square_bump_field(), 0.05)
+
+
+class TestPeriodicRoots:
+    @pytest.mark.parametrize("f", [mp.golden_tent(), mp.full_tent(), QUARTIC],
+                             ids=["golden", "full", "quartic"])
+    def test_batched_bisection_bit_equal(self, f):
+        assert mp.validate(f).passed
+        batched = [(r.hex(), q) for r, q, _ in cj._periodic_roots(f, 8)]
+        assert batched == [(r.hex(), q) for r, q in _scalar_roots(f, 8)]
+
+    def test_enclosures_small(self, golden):
+        bounds = [e for _, _, e in cj._periodic_roots(golden, 8)]
+        assert 0.0 < max(bounds) < 1e-13
+
+
+class TestTableCost:
+    @pytest.mark.parametrize("target", ["golden", "tent"])
+    def test_two_solves_per_child(self, golden, tent, monkeypatch, target):
+        f1 = golden if target == "golden" else tent
+        calls, refused = [], []
+        real = cj.inverse_branch
+
+        def counting(f, y, side):
+            z = real(f, y, side)
+            calls.append(f)
+            if f is golden and abs(z) < 1e-9:
+                refused.append(z)
+            return z
+
+        monkeypatch.setattr(cj, "inverse_branch", counting)
+        table = cj.ConjugacyTable.build(golden, f1, 200, 8, 60)
+        roots = len(cj.periodic_words(golden, 8, 60))
+        assert len(calls) == 2 * (len(table.entries) - roots) + len(refused)
+        # -1's preimage 1 lies above f(c) = 0.618, so both children of 1
+        # are c itself
+        assert len(refused) == 2
+
+
+def _exact_table(f0, f1, monkeypatch, depth=60):
+    """A table and, per entry, the exact (x*, y*) at 50 digits: Newton on
+    f^q at each periodic root, then exact inverse branches down the tree
+    that the builder's inverse solves record."""
+    made = {}
+    real = cj.inverse_branch
+
+    def recording(f, y, side):
+        z = real(f, y, side)
+        made[id(f), z] = (y, side)
+        return z
+
+    monkeypatch.setattr(cj, "inverse_branch", recording)
+    table = cj.ConjugacyTable.build(f0, f1, 200, 8, depth)
+
+    def exact(f, x):
+        if (id(f), x) in made:
+            y, side = made[id(f), x]
+            target = exact(f, y)
+            z = mpmath.mpf(x)
+            for _ in range(8):
+                z -= (oracles.mp_value(f, z) - target) / oracles.mp_deriv(f, z)
+            assert (z < 0) == (side == "L")
+            return z
+        q = next(q for q in range(1, 9)
+                 if abs(mp.iterates(f, q, x)[q] - x) < 1e-9)
+        t = mpmath.mpf(x)
+        for _ in range(8):
+            y, d = t, mpmath.mpf(1)
+            for _ in range(q):
+                d *= oracles.mp_deriv(f, y)
+                y = oracles.mp_value(f, y)
+            t -= (y - t) / (d - 1)
+        return t
+
+    with mpmath.workdps(50):
+        step = len(table.entries) // 20
+        pairs = [(e, exact(f0, e.x), exact(f1, e.y))
+                 for e in table.entries[::step][:20]]
+    return table, pairs
+
+
+class TestEnclosures:
+    def test_golden_self_table(self, golden, monkeypatch):
+        _, pairs = _exact_table(golden, golden, monkeypatch)
+        assert len(pairs) == 20
+        for e, xs, ys in pairs:
+            assert abs(e.x - xs) <= e.bound and abs(e.y - ys) <= e.bound
+
+    def test_cross_table_to_deformed_map(self, golden, horizontal_tilde,
+                                         monkeypatch):
+        f1 = horizontal_tilde.map_at(0.01)
+        _, pairs = _exact_table(golden, f1, monkeypatch)
+        assert len(pairs) == 20
+        for e, xs, ys in pairs:
+            assert abs(e.x - xs) <= e.bound and abs(e.y - ys) <= e.bound
+
+    def test_depth_40_table_to_deformed_map(self, golden, wide_tilde):
+        f1 = wide_tilde.map_at(0.02)
+        table = cj.ConjugacyTable.build(golden, f1, 200, 8, 40)
+        rep = cj.verify_conjugacy(golden, f1, table)
+        assert rep.passed and rep.unmatched == 0 and rep.max_residual < 1e-8
 
 
 class TestLipschitz:

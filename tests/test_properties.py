@@ -351,13 +351,12 @@ class TestItineraryUniqueness:
 
 
 class TestTableMonotonicity:
-    @given(st.sets(st.integers(0, len(WORDS) - 1), min_size=5, max_size=30))
+    @given(st.integers(0, 170), st.integers(1, 8))
     @settings(deadline=None, max_examples=25)
-    def test_sorted_sources_sorted_images(self, picks):
-        words = [WORDS[i] for i in sorted(picks)]
-        table = cj.ConjugacyTable.from_words(GOLDEN, TENT, words, depth=50)
-        xs = table.sources()
-        ys = table.images()
+    def test_sorted_sources_sorted_images(self, count, max_period):
+        table = cj.ConjugacyTable.build(GOLDEN, TENT, count, max_period, 50)
+        xs = [e.x for e in table.entries]
+        ys = [e.y for e in table.entries]
         assert all(a < b for a, b in zip(xs, xs[1:]))
         assert all(a < b for a, b in zip(ys, ys[1:]))
 

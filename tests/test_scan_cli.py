@@ -369,6 +369,16 @@ class TestCli:
         lines = (tmp_path / "o" / "table.csv").read_text().splitlines()
         assert lines[0] == "x,h,depth,bound,residual"
 
+    def test_conjugacy_self_table_off_the_tent_family(self, tmp_path):
+        # the 1.8 tent's critical point is not periodic; every word of its
+        # own table is realized on it
+        cfg = _write_cfg(tmp_path / "c.json",
+                         {"f0": {"slope": 1.8}, "f1": {"slope": 1.8}})
+        assert cli.main(["conjugacy", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        rep = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert rep["passed"] is True and rep["coverage"] >= 200
+
     def test_deform_without_relations_writes_summary(self, tmp_path):
         # a non-periodic base: every node's relation residual is None
         kp = fn.kernel_projection(mp.symmetric_tent(1.8),
@@ -549,6 +559,45 @@ def test_malformed_config_exits_1(tmp_path, capsys, cmd, payload):
     err = capsys.readouterr().err
     assert err.startswith(f"pexpand {cmd}: ") and "Traceback" not in err
     assert not any(out.iterdir())  # refused before any output
+
+
+@pytest.mark.parametrize("cmd, payload", [
+    ("alpha", {"map": "golden_tent", "field": "bump", "n": 2.9}),
+    ("continue", {"family": _ODD_FAMILY, "w": "bump", "period": 3.5}),
+    ("conjugacy", {"f0": "golden_tent", "f1": "golden_tent", "count": 20.5}),
+    ("conjugacy", {"f0": "golden_tent", "f1": "golden_tent", "depth": 40.5}),
+    ("conjugacy", {"f0": "golden_tent", "f1": "golden_tent",
+                   "max_period": 2.5}),
+    ("validate", {"map": {"slope": 1.7, "k": 2.5}}),
+    ("scan", {"family": {"base": "golden_tent",
+                         "terms": [{"field": "bump", "t_powers": [1.5]}]}}),
+], ids=["n", "period", "count", "depth", "max_period", "k", "t_powers"])
+def test_fractional_integer_entry_exits_1(tmp_path, capsys, cmd, payload):
+    cfg = _write_cfg(tmp_path / "c.json", payload)
+    out = tmp_path / "o"
+    assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pexpand {cmd}: ") and "is not an integer" in err
+    assert not any(out.iterdir())
+
+
+def test_integral_float_entry_accepted(tmp_path):
+    cfg = _write_cfg(tmp_path / "c.json",
+                     {"map": "golden_tent", "field": "bump", "n": 3.0})
+    assert cli.main(["alpha", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+    assert len((tmp_path / "o" / "alpha.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print before the line
+def test_overflowing_map_refused_in_one_line(tmp_path, capfd):
+    cfg = _write_cfg(tmp_path / "c.json", {
+        "family": _ODD_FAMILY, "w": "bump", "period": 3, "theta0": 1e308})
+    assert cli.main(["continue", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("pexpand continue: map failed validation")
+    assert len(err.splitlines()) == 1
 
 
 def test_continue_refuses_lower_period_at_centre(tmp_path, capsys):

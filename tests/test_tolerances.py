@@ -36,10 +36,11 @@ def test_tolerance_order():
     #   CLAMP_SLACK:` -- a node marked at the boundary passes validate's
     #   `cv <= 1.0 + BOUNDARY_SLACK`
     assert df.CLAMP_SLACK <= mp.BOUNDARY_SLACK
-    # conjugacy.point_from_itinerary: `truncated = excess > ADMIT_TOL` --
-    #   a clamp by inverse-solver noise (residuals under INVERSE_TOL) is not
-    #   taken for an inadmissible word
-    assert cj.INVERSE_TOL < cj.ADMIT_TOL
+    # conjugacy.inverse_branch: `if abs(res) < INVERSE_TOL or hi - lo <
+    #   1e-15:` -- a valid branch has min |Df| <= 2 (its mean slope is at
+    #   most 2), so the bracket exit pins x within INVERSE_TOL / lambda too,
+    #   and a table child's enclosure (e + INVERSE_TOL) / lambda covers both
+    assert 2.0 * 1e-15 <= cj.INVERSE_TOL
     # functional.horizontality: `abs(jv) <= HORIZONTAL_TOL` -- the series
     #   truncation error cannot decide the verdict
     assert fn.J_TOL < fn.HORIZONTAL_TOL
