@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -47,6 +47,7 @@ KNEADING_DEPTH = 30       # kneading prefix that certifies a topological class
 # 1/(lambda_f - 1), so a valid map with lambda_f = 1+1e-9 would ask for
 # ~5e10 steps; deeper requests are refused, not run.
 MAX_TERMS = 10**6
+MEMO_SIZE = 64            # values of t a family memoizes before emptying
 
 
 def _coeffs(raw) -> tuple[float, ...]:
@@ -113,7 +114,7 @@ def _onto_interval(x):
     if not inside.all():
         bad = float(xs[~inside].flat[0])
         raise PreconditionError(f"point {bad} outside [-1, 1]")
-    xs = np.clip(xs, -1.0, 1.0)
+    xs = np.maximum(np.minimum(xs, 1.0), -1.0)  # np.clip's bits, faster
     return xs if isinstance(x, np.ndarray) else float(xs)
 
 
@@ -652,7 +653,7 @@ class FamilyTerm:
 
     def __post_init__(self):
         pw = tuple(int(p) for p in self.t_powers)
-        if not pw or any(p < 1 for p in pw):
+        if not pw or any(p < 1 for p in pw) or pw != tuple(self.t_powers):
             raise ValueError("t_powers must be positive integers")
         object.__setattr__(self, "t_powers", pw)
 
@@ -669,6 +670,12 @@ class MapFamily:
 
     Polynomial dependence keeps the velocity exact (term-wise derivative),
     so no finite differencing ever enters the functional evaluations.
+
+    Each instance memoizes, per t, f_t's branches before any theta*w and,
+    apart (a velocity must not run ``term.scalar``, whose powers can
+    overflow), v_t as one DirectionField with its sup norm cached.  The
+    memo is the instance's, not its value's: families equal under ``==``
+    can differ by a signed zero.  It empties at MEMO_SIZE values of t.
     """
 
     base: PiecewiseMap
@@ -677,6 +684,8 @@ class MapFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "_chains", {})
+        object.__setattr__(self, "_velocities", {})
         lo, hi = self.domain
         if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("parameter domain must be a finite interval")
@@ -686,34 +695,32 @@ class MapFamily:
                                  "(boundary zeros), not relaxed observables")
 
 
-def family_eval(F: MapFamily, t: float, check: bool = True,
-                w: DirectionField | None = None,
-                theta: float = 0.0) -> PiecewiseMap:
-    """Assemble f_t (+ theta*w given w) exactly; optionally validate (errors
-    carry the report).  Bit for bit a chain of ``add_scaled`` over nonzero
-    scalars, with a map's checks on each partial sum, but one map is built."""
+def _at(F: MapFamily, store: dict, t: float, make):
+    """make(F, t), stored under t and its type (an int sums exactly)."""
     lo, hi = F.domain
     if not lo <= t <= hi:
         raise PreconditionError(f"t={t} outside family domain [{lo}, {hi}]")
-    steps = chain(((term.scalar(t), term.field) for term in F.terms),
-                  ((theta, w),) if w is not None else ())
+    key = (type(t), t)
+    hit = store.get(key)
+    if hit is None:
+        if len(store) >= MEMO_SIZE:
+            store.clear()
+        hit = store[key] = make(F, t)
+    return hit
+
+
+def _chain(F: MapFamily, t: float):
+    """f_t's branches: the base plus each nonzero s_m(t) * field_m in turn."""
     left, right = F.base.left, F.base.right
-    for s, d in steps:
+    for term in F.terms:
+        s = term.scalar(t)
         if s != 0.0:
-            left = _coeffs(_axpy(left, s, d.left))
-            right = _coeffs(_axpy(right, s, d.right))
-    f = PiecewiseMap(left, right, F.base.k)
-    if check:
-        require_valid(f)
-    return f
+            left = _coeffs(_axpy(left, s, term.field.left))
+            right = _coeffs(_axpy(right, s, term.field.right))
+    return left, right
 
 
-def family_velocity(F: MapFamily, t: float) -> DirectionField:
-    """Exact term-wise t-derivative of the family at t: bit for bit the
-    ``add`` of ``field.scale(s)`` terms, with a field's checks on each."""
-    lo, hi = F.domain
-    if not lo <= t <= hi:
-        raise PreconditionError(f"t={t} outside family domain [{lo}, {hi}]")
+def _velocity(F: MapFamily, t: float) -> DirectionField:
     left, right = ZERO_FIELD.left, ZERO_FIELD.right
     for term in F.terms:
         s = term.scalar_deriv(t)
@@ -723,6 +730,28 @@ def family_velocity(F: MapFamily, t: float) -> DirectionField:
             left, right = _field_branches(_axpy(left, 1.0, sl),
                                           _axpy(right, 1.0, sr))
     return DirectionField(left, right)
+
+
+def family_eval(F: MapFamily, t: float, check: bool = True,
+                w: DirectionField | None = None,
+                theta: float = 0.0) -> PiecewiseMap:
+    """Assemble f_t (+ theta*w given w) exactly; optionally validate (errors
+    carry the report).  Bit for bit a chain of ``add_scaled`` over nonzero
+    scalars, with a map's checks on each partial sum, but one map is built."""
+    left, right = _at(F, F._chains, t, _chain)
+    if w is not None and theta != 0.0:
+        left = _coeffs(_axpy(left, theta, w.left))
+        right = _coeffs(_axpy(right, theta, w.right))
+    f = PiecewiseMap(left, right, F.base.k)
+    if check:
+        require_valid(f)
+    return f
+
+
+def family_velocity(F: MapFamily, t: float) -> DirectionField:
+    """Exact term-wise t-derivative of the family at t: bit for bit the
+    ``add`` of ``field.scale(s)`` terms, with a field's checks on each."""
+    return _at(F, F._velocities, t, _velocity)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from pexpand import (
 )
 from pexpand import deform as df
 from pexpand import functional as fn
+from pexpand import maps as mp
 from pexpand.maps import GOLDEN_RATIO, family_velocity
 
 import oracles
@@ -148,6 +149,20 @@ class TestEvaluationBudget:
                 ref = (fn.j_periodic_sum(g, v, p), fn.j_periodic_sum(g, w, p))
             assert (sv.j_v.hex(), sv.j_w.hex()) == tuple(x.hex() for x in ref)
 
+    def test_velocity_built_once_per_t(self, monkeypatch):
+        # a step's 11 slopes visit 5 values of t; v_t is built once at each
+        # (again only after the family's memo empties), not at every slope
+        slopes, builds = [], []
+        real_slope, real_velocity = df.slope_field, mp._velocity
+        monkeypatch.setattr(df, "slope_field", lambda *a, **k: slopes.append(
+            a[2]) or real_slope(*a, **k))
+        monkeypatch.setattr(mp, "_velocity", lambda F, t: builds.append(
+            t) or real_velocity(F, t))
+        tr = df.integrate_deformation(series_family((-0.02, 0.02)),
+                                      bump_field())
+        assert len(slopes) == 11 * (len(tr.nodes) - 1) + 1
+        assert len(set(slopes)) <= len(builds) < 0.45 * len(slopes)
+
     def test_fixed_steps_reuse_k1(self, monkeypatch):
         calls = []
         real = df.slope_field
@@ -208,6 +223,22 @@ class TestIntegrateDeformation:
         e1, e2, e3 = (abs(bs[i] - bs[i + 1]) for i in range(3))
         assert 10.0 < e1 / e2 < 24.0
         assert 8.0 < e2 / e3 < 32.0  # smallest gap nears roundoff
+
+    @pytest.mark.parametrize("family, w", [
+        (transversal_family(), odd_field()),
+        (series_family((-0.02, 0.02)), bump_field()),
+    ])
+    def test_step_error_tracks_the_true_local_error(self, family, w):
+        # one step of 4e-3 against 64 fixed sub-steps: the Richardson
+        # estimate reads the true error to within 1.0x and 0.9x here
+        h = 4e-3
+        step = df.integrate_deformation(family, w, t_range=(0.0, h), h0=h,
+                                        ode_tol=1.0).node_at(h)
+        ref = df.integrate_deformation(family, w, t_range=(0.0, h),
+                                       h0=h / 64, adaptive=False).node_at(h)
+        assert step.step == h
+        true_error = abs(step.b - ref.b)
+        assert true_error / 4.0 <= step.step_error <= 4.0 * true_error
 
     def test_unreachable_tolerance_truncates_both_sides(self):
         # h_min = h0 leaves no room to halve, so the first rejection stops

@@ -30,7 +30,14 @@ from pexpand import (
     symmetric_tent,
     validate,
 )
-from pexpand.maps import GOLDEN_RATIO, interval_image
+from pexpand.maps import (
+    BOUNDARY_SLACK,
+    ENDPOINT_TOL,
+    GOLDEN_RATIO,
+    MEMO_SIZE,
+    _onto_interval,
+    interval_image,
+)
 
 A = GOLDEN_RATIO
 U = A - 1.0  # critical value of the golden tent, u = a - 1
@@ -103,6 +110,15 @@ class TestConstruction:
         assert g.value(np.array([-1.0 - 1e-9]))[0] == g.value(-1.0)
         with pytest.raises(PreconditionError):
             g.value(1.0 + 1e-11)
+
+    def test_snap_has_the_bits_of_np_clip(self):
+        xs = np.array([-0.0, 0.0, -1.0, 1.0, -1.0 - ENDPOINT_TOL,
+                       1.0 + BOUNDARY_SLACK, 0.3, -0.7])
+        ref = np.clip(xs, -1.0, 1.0)
+        assert [v.hex() for v in _onto_interval(xs)] == \
+               [v.hex() for v in ref]
+        assert [_onto_interval(float(x)).hex() for x in xs] == \
+               [v.hex() for v in ref]
 
     def test_deriv_at_c_needs_side(self):
         f = full_tent()
@@ -365,6 +381,43 @@ class TestMapFamily:
         with pytest.raises(InvalidMapError) as exc:
             family_eval(F, -0.1)
         assert exc.value.report is not None
+
+    def test_fractional_power_refused(self):
+        with pytest.raises(ValueError, match="positive integers"):
+            FamilyTerm(bump_field(), (1.5,))
+        term = FamilyTerm(bump_field(), (2.0, 1))
+        assert term.t_powers == (2, 1)
+        assert type(term.t_powers[0]) is int
+        assert term.scalar(0.5) == 0.75
+
+    def test_repeated_t_reuses_one_velocity(self):
+        F = self.golden_bump()
+        v = family_velocity(F, 0.01)
+        assert family_velocity(F, 0.01) is v
+        g = family_eval(F, 0.01)
+        assert family_eval(F, 0.01, w=odd_field(), theta=0.002) == \
+               g.add_scaled(odd_field(), 0.002)
+
+    def test_int_t_is_not_its_float(self):
+        # 3**30 is a float exactly, but t**2 + t**3 sums exactly only as
+        # an int, so the two t assemble different bits
+        def fresh():
+            term = FamilyTerm(bump_field(), (2, 3))
+            return MapFamily(golden_tent(), (term,), (-1e15, 1e15))
+        F, t = fresh(), 3 ** 30
+        for u in (t, float(t), t):
+            assert family_eval(F, u, check=False) == \
+                   family_eval(fresh(), u, check=False)
+        assert family_eval(F, t, check=False) != \
+               family_eval(F, float(t), check=False)
+
+    def test_memo_stays_bounded(self):
+        F = self.golden_bump()
+        for t in np.linspace(-0.02, 0.02, 3 * MEMO_SIZE):
+            family_eval(F, float(t))
+            family_velocity(F, float(t))
+        assert len(F._chains) <= MEMO_SIZE
+        assert len(F._velocities) <= MEMO_SIZE
 
     def test_relaxed_field_rejected_as_direction(self):
         obs = DirectionField((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), relaxed=True)

@@ -167,22 +167,36 @@ OVERFLOW_FIRST = (mp.MapFamily(
            mp.FamilyTerm(mp.odd_field(), (3,))), (-1e154, 1e154)), 1e154)
 
 
+# equal under == (0.0 == -0.0) and hashed alike, yet f_t and v_t differ in
+# the sign of their x^2 coefficient: a memo keyed by value would hand the
+# second family the first one's bits
+SIGNED_ZERO_TWINS = tuple(
+    (mp.MapFamily(TENT, (mp.FamilyTerm(mp.DirectionField(c, c)),)), 0.01)
+    for c in ((0.0, 1.0, 0.0, -1.0), (0.0, 1.0, -0.0, -1.0)))
+assert SIGNED_ZERO_TWINS[0] == SIGNED_ZERO_TWINS[1]
+
+
 class TestAssemblyBits:
     """Assembly by coefficient arithmetic against numpy's polyadd chain:
     the same bits, signed zeros included, and the same errors."""
 
     @given(families(), proper_fields(), scalars)
     @example(OVERFLOW_FIRST, mp.bump_field(), 0.5)
+    @example(SIGNED_ZERO_TWINS[0], mp.odd_field(), 0.5)
+    @example(SIGNED_ZERO_TWINS[1], mp.odd_field(), 0.5)
     @settings(deadline=None, max_examples=300)
     def test_family_assembly(self, ft, w, theta):
         F, t = ft
-        for check in (False, True):
-            assert outcome(lambda: mp.family_eval(F, t, check)) == \
-                   outcome(lambda: ref_family_eval(F, t, check=check))
-            assert outcome(lambda: mp.family_eval(F, t, check, w, theta)) == \
-                   outcome(lambda: ref_family_eval(F, t, w, theta, check))
-        assert outcome(lambda: mp.family_velocity(F, t)) == \
-               outcome(lambda: ref_velocity(F, t))
+        # the second call at t reads F's memo; 0.0 and -0.0 share an entry
+        for u in (t, t, -t) if t == 0.0 else (t, t):
+            for check in (False, True):
+                assert outcome(lambda: mp.family_eval(F, u, check)) == \
+                       outcome(lambda: ref_family_eval(F, u, check=check))
+                assert outcome(lambda: mp.family_eval(F, u, check, w,
+                                                      theta)) == \
+                       outcome(lambda: ref_family_eval(F, u, w, theta, check))
+            assert outcome(lambda: mp.family_velocity(F, u)) == \
+                   outcome(lambda: ref_velocity(F, u))
 
     @given(dyadic, loose_branches, loose_branches, proper_fields(), scalars)
     @settings(deadline=None, max_examples=300)
