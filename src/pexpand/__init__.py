@@ -19,6 +19,7 @@ from .maps import (
     DirectionField,
     FamilyTerm,
     MapFamily,
+    OrbitRecord,
     PiecewiseMap,
     aux_dictionary,
     bump_field,

@@ -328,9 +328,13 @@ def generate_conjugacy_words(f0: PiecewiseMap, f1: PiecewiseMap,
     word s + w[:depth-1] follow: a word already tabled is not solved again,
     and a child f0 puts within 1e-9 of c (its word needs a C) is skipped.
     """
-    ones = {w: (y, e) for y, w, e in _periodic_points(f1, max_period, depth)}
+    points1 = _periodic_points(f1, max_period, depth)
+    # a self-table searches its map once; repr tells signed zeros apart
+    points0 = (points1 if repr(f0) == repr(f1)
+               else _periodic_points(f0, max_period, depth))
+    ones = {w: (y, e) for y, w, e in points1}
     frontier = []
-    for x, w, e0 in _periodic_points(f0, max_period, depth):
+    for x, w, e0 in points0:
         if w not in ones:
             raise NoPointError(
                 f"f1 has no periodic point with the word {w!r} of the "

@@ -40,6 +40,7 @@ from .maps import (
     PERIOD_TOL,
     DirectionField,
     MapFamily,
+    OrbitRecord,
     PiecewiseMap,
     critical_orbit,
     critical_relations,
@@ -134,18 +135,19 @@ def slope_field(F: MapFamily, w: DirectionField, t: float, theta: float,
     tol_w = default_tol_w(w)
     g = family_eval(F, t, w=w, theta=theta)
     v = family_velocity(F, t)
-    orb = manifold_res = p_used = None
+    # one orbit record gives the residual, the classification and both sums
+    record = OrbitRecord(g)
+    manifold_res = p_used = None
     if relation_period is not None:
-        # one raw orbit gives the residual and, when deep enough, both sums
-        orb = critical_orbit(g, relation_period, tol_c=0.0)
+        orb = critical_orbit(g, relation_period, tol_c=0.0, record=record)
         manifold_res = abs(orb.points[relation_period])
         if manifold_res < band:
             p_used = relation_period
     if p_used is None:
-        det = detect_periodic_critical(g)
+        det = detect_periodic_critical(g, record=record)
         qs = [det.period] if det.period is not None else []
         p_used = min(qs + [q for q, _ in det.ambiguous], default=None)
-    jv, jw = j_pair(g, v, w, p_used, orb)
+    jv, jw = j_pair(g, v, w, p_used, record)
     mode = "series-pair" if p_used is None else "periodic-pair"
     if abs(jw) <= tol_w:
         raise DegenerateDirectionError(
@@ -375,14 +377,15 @@ def _newton(F: MapFamily, w: DirectionField, p: int, t: float, theta: float,
     """
     g = family_eval(F, t, w=w, theta=theta)
     for it in range(1, max_iter + 1):
-        orb = critical_orbit(g, p, tol_c=0.0)
+        record = OrbitRecord(g)
+        orb = critical_orbit(g, p, tol_c=0.0, record=record)
         xs = orb.points
         if abs(xs[p]) < NEWTON_TOL:
             return theta, g, xs, it
         if len(orb.products) < p:
             raise NewtonDivergenceError(
                 f"critical orbit returns to c at step {orb.truncated_at} < {p}")
-        dG = orb.products[p - 1] * j_periodic_sum(g, w, p, orb)
+        dG = orb.products[p - 1] * j_periodic_sum(g, w, p, record)
         if abs(dG) < 1e-14:
             raise NewtonDivergenceError(
                 f"degenerate derivative {dG!r} at theta={theta!r}")
@@ -539,14 +542,15 @@ def transversal_derivative(F: MapFamily, p: int) -> TransversalReport:
     exactness of the velocity bookkeeping.
     """
     f = family_eval(F, 0.0)
-    det = detect_periodic_critical(f)
+    record = OrbitRecord(f)
+    det = detect_periodic_critical(f, record=record)
     if not det.clean or det.period != p:
         raise PreconditionError(
             f"critical point is not cleanly period-{p} at t = 0 "
             f"(detected {det.period!r})")
-    orb = critical_orbit(f, p, tol_c=0.0)
+    orb = critical_orbit(f, p, tol_c=0.0, record=record)
     chain = orb.products[p - 1] * j_periodic_sum(f, family_velocity(F, 0.0),
-                                                 p, orb)
+                                                 p, record)
     h = 1e-6
     g_hi = family_eval(F, h, check=False)
     g_lo = family_eval(F, -h, check=False)

@@ -35,9 +35,9 @@ from .maps import (
     P_MAX,
     PERIOD_TOL,
     TOL_C,
-    CriticalOrbit,
     DirectionField,
     MapFamily,
+    OrbitRecord,
     PiecewiseMap,
     critical_orbit,
     detect_periodic_critical,
@@ -89,26 +89,25 @@ def _series_depth(f: PiecewiseMap, v: DirectionField,
 
 
 def _series(f: PiecewiseMap, v: DirectionField, n: int, tail: float,
-            orb: CriticalOrbit | None = None) -> tuple[float, float, int]:
+            record: OrbitRecord | None = None) -> tuple[float, float, int]:
     """(sum, tail, k): the first k = n terms v(x_i)/P_i on the raw orbit, or
     k < n when x_k lands exactly on c, which ends the sum exactly (tail 0).
-    ``orb``, f's raw (tol_c = 0) critical orbit, serves when it reaches depth
-    n: orbit prefixes do not depend on the depth, so the bits are the same."""
+    ``record`` is f's orbit record, shared with other readers of the orbit:
+    orbit prefixes do not depend on the depth, so the bits are the same."""
     if n == 0:
         return 0.0, 0.0, 0
-    if orb is None or len(orb.points) <= n:
-        orb = critical_orbit(f, n, tol_c=0.0)
-    terms = [v.value(x) / p for x, p in zip(orb.points[:n], orb.products[:n])]
+    orb = critical_orbit(f, n, tol_c=0.0, record=record)
+    terms = [v.value(x) / p for x, p in zip(orb.points, orb.products)]
     return math.fsum(terms), tail if len(terms) == n else 0.0, len(terms)
 
 
 def j_periodic_sum(f: PiecewiseMap, v: DirectionField, p: int,
-                   orb: CriticalOrbit | None = None) -> float:
-    """Finite p-term value of J, the exact form when c has period p; ``orb``
-    as in _series."""
+                   record: OrbitRecord | None = None) -> float:
+    """Finite p-term value of J, the exact form when c has period p;
+    ``record`` as in _series."""
     if p < 1:
         raise PreconditionError("period must be >= 1")
-    return _series(f, v, p, 0.0, orb)[0]
+    return _series(f, v, p, 0.0, record)[0]
 
 
 def j_series_sum(f: PiecewiseMap,
@@ -120,19 +119,18 @@ def j_series_sum(f: PiecewiseMap,
 
 def j_pair(f: PiecewiseMap, v: DirectionField, w: DirectionField,
            p: int | None = None,
-           orb: CriticalOrbit | None = None) -> tuple[float, float]:
+           record: OrbitRecord | None = None) -> tuple[float, float]:
     """(J(f, v), J(f, w)) bit for bit as ``j_periodic_sum(f, ., p)`` gives
-    them, or ``j_series_sum(f, .)`` when p is None, on one raw critical
-    orbit as deep as the deeper sum; ``orb`` as in _series."""
+    them, or ``j_series_sum(f, .)`` when p is None, on one orbit record;
+    ``record`` as in _series."""
     if p is not None and p < 1:
         raise PreconditionError("period must be >= 1")
     (nv, tv), (nw, tw) = ((_series_depth(f, v, J_TOL),
                            _series_depth(f, w, J_TOL))
                           if p is None else ((p, 0.0), (p, 0.0)))
-    n = max(nv, nw)
-    if n and (orb is None or len(orb.points) <= n):
-        orb = critical_orbit(f, n, tol_c=0.0)
-    return _series(f, v, nv, tv, orb)[0], _series(f, w, nw, tw, orb)[0]
+    record = record or OrbitRecord(f)
+    return (_series(f, v, nv, tv, record)[0],
+            _series(f, w, nw, tw, record)[0])
 
 
 @dataclass(frozen=True)
@@ -161,8 +159,9 @@ class JResult:
 
 
 def j_functional(f: PiecewiseMap, v: DirectionField, tol: float = J_TOL,
-                 period_tol: float = PERIOD_TOL) -> JResult:
-    """Evaluate J(f, v) with certified truncation.
+                 period_tol: float = PERIOD_TOL,
+                 record: OrbitRecord | None = None) -> JResult:
+    """Evaluate J(f, v) with certified truncation, on f's orbit ``record``.
 
     The critical orbit is classified first; the truncation depth for the
     series route also caps the periodicity search, so an exact return to
@@ -172,18 +171,21 @@ def j_functional(f: PiecewiseMap, v: DirectionField, tol: float = J_TOL,
     n, tail = _series_depth(f, v, tol)
     if n == 0:
         return JResult(0.0, "series", 0, 0.0)
-    det = detect_periodic_critical(f, p_max=max(P_MAX, n), tol=period_tol)
+    record = record or OrbitRecord(f)
+    det = detect_periodic_critical(f, p_max=max(P_MAX, n), tol=period_tol,
+                                   record=record)
     if det.clean and det.period is not None:
-        return JResult(j_periodic_sum(f, v, det.period), "periodic",
+        return JResult(j_periodic_sum(f, v, det.period, record), "periodic",
                        det.period, 0.0, det.period)
-    series, tail, n = _series(f, v, n, tail)
+    series, tail, n = _series(f, v, n, tail, record)
     if det.clean:
         return JResult(series, "series", n, tail)
     q = min(q for q, _ in det.ambiguous)
     if det.period is not None:
         q = min(q, det.period)
     return JResult(None, "ambiguous", n, tail, q,
-                   (("periodic", j_periodic_sum(f, v, q)), ("series", series)))
+                   (("periodic", j_periodic_sum(f, v, q, record)),
+                    ("series", series)))
 
 
 # ---------------------------------------------------------------------------

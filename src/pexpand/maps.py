@@ -341,6 +341,32 @@ def iterates(f: PiecewiseMap, n: int, x: float = 0.0) -> list[float]:
     return list(islice(orbit(f, x, 0.0), n + 1))
 
 
+class OrbitRecord:
+    """c's raw (tol_c = 0) orbit under f, grown on demand: the classifiers
+    of f handed one as ``record`` all read this one orbit.
+
+    ``points[i]`` is f^i(c); ``products[i]`` is Df^i(f(c)), extended by
+    critical_orbit only as deep as asked and never past an exact return.
+    """
+
+    __slots__ = ("f", "points", "products")
+
+    def __init__(self, f: PiecewiseMap):
+        self.f = f
+        self.points = [0.0]
+        self.products = [1.0]
+
+    def __iter__(self):
+        """f^0(c), f^1(c), ...: the stored points, then new ones as read."""
+        pts, value = self.points, self.f.value
+        i = 0
+        while True:
+            if i == len(pts):
+                pts.append(value(pts[-1]))
+            yield pts[i]
+            i += 1
+
+
 @dataclass(frozen=True)
 class CriticalOrbit:
     """Forward orbit of c with cumulative derivative products.
@@ -359,25 +385,34 @@ class CriticalOrbit:
     truncated_at: int | None
 
 
-def critical_orbit(f: PiecewiseMap, n: int, tol_c: float = TOL_C) -> CriticalOrbit:
+def critical_orbit(f: PiecewiseMap, n: int, tol_c: float = TOL_C,
+                   record: OrbitRecord | None = None) -> CriticalOrbit:
+    """c's orbit to depth n as ``orbit(f, 0.0, tol_c)`` gives it, read off
+    f's raw orbit ``record``.  Up to its first return x_k to the band (or
+    to c exactly) the snapped orbit is the raw one, and after x_k it
+    restarts at f(c), so with tol_c > 0 the raw points past x_k are never
+    computed."""
     if n < 1:
         raise PreconditionError("orbit depth must be >= 1")
-    points = tuple(islice(orbit(f, 0.0, tol_c), n + 1))
-    products = [1.0]
-    truncated = None
-    prod = 1.0
-    for i, x in enumerate(points[1:], 1):
+    record = record or OrbitRecord(f)
+    products = record.products
+    k = None
+    for i, x in enumerate(islice(record, 1, n + 1), 1):
         if abs(x) < tol_c or x == 0.0:
-            truncated = i
+            k = i
             break
-        if i < n:
+        if i == len(products) and i < n:
             d = f.deriv(x)
             if d == 0.0:
                 raise PreconditionError(
                     f"zero branch derivative at orbit point {x!r}")
-            prod *= d
-            products.append(prod)
-    return CriticalOrbit(points, tuple(products), truncated)
+            products.append(products[-1] * d)
+    if k is None or tol_c == 0.0:
+        points = tuple(islice(record, n + 1))
+    else:
+        points = ((0.0,) + tuple(record.points[1:k + 1]) * (n // k + 1)
+                  )[:n + 1]
+    return CriticalOrbit(points, tuple(products[:k or n]), k)
 
 
 def itinerary(f: PiecewiseMap, x: float, n: int) -> str:
@@ -392,8 +427,20 @@ def itinerary(f: PiecewiseMap, x: float, n: int) -> str:
                    for y in islice(orbit(f, x), n))
 
 
-def kneading(f: PiecewiseMap, n: int) -> str:
-    return itinerary(f, 0.0, n)
+def kneading(f: PiecewiseMap, n: int,
+             record: OrbitRecord | None = None) -> str:
+    """``itinerary(f, 0.0, n)``, read off f's raw orbit ``record``: the
+    snapped orbit is the raw one up to its first band entry x_k, k >= 1,
+    and then restarts at f(c), so its symbols are the raw ones of [0, k)
+    repeated."""
+    if n < 1:
+        raise PreconditionError("itinerary depth must be >= 1")
+    word = "C"
+    for x in islice(record or OrbitRecord(f), 1, n):
+        if abs(x) < TOL_C:
+            break
+        word += "L" if x < 0.0 else "R"
+    return (word * (n // len(word) + 1))[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +459,11 @@ class PeriodDetection:
 
 
 def detect_periodic_critical(f: PiecewiseMap, p_max: int = P_MAX,
-                             tol: float = PERIOD_TOL) -> PeriodDetection:
-    """Smallest q <= p_max with |f^q(c) - c| < tol, on the raw float orbit.
+                             tol: float = PERIOD_TOL,
+                             record: OrbitRecord | None = None,
+                             ) -> PeriodDetection:
+    """Smallest q <= p_max with |f^q(c) - c| < tol, on the raw float orbit
+    (f's orbit ``record``).
 
     Returns residuals in the hysteresis band [tol, 10*tol) as ambiguity
     entries instead of silently classifying them; the two sides of the
@@ -423,7 +473,7 @@ def detect_periodic_critical(f: PiecewiseMap, p_max: int = P_MAX,
     if p_max < 2:
         raise PreconditionError("p_max must be >= 2")
     band = []
-    for q, x in enumerate(islice(orbit(f, 0.0, 0.0), 1, p_max + 1), 1):
+    for q, x in enumerate(islice(record or OrbitRecord(f), 1, p_max + 1), 1):
         r = abs(x)
         if r < tol:
             return PeriodDetection(q, r, tuple(band))
@@ -448,8 +498,11 @@ class CriticalRelationSet:
 
 
 def critical_relations(f: PiecewiseMap, depth: int = 8,
-                       tol: float = PERIOD_TOL) -> CriticalRelationSet:
-    """Index pairs (i, j), i < j <= depth, with f^i(c) and f^j(c) coincident.
+                       tol: float = PERIOD_TOL,
+                       record: OrbitRecord | None = None,
+                       ) -> CriticalRelationSet:
+    """Index pairs (i, j), i < j <= depth, with f^i(c) and f^j(c) coincident
+    on the raw float orbit (f's orbit ``record``).
 
     A pair is canonical when it is not implied by an earlier kept pair
     (i0, j0), i.e. when i >= i0 and (j - i) divisible by (j0 - i0) fails.
@@ -457,7 +510,7 @@ def critical_relations(f: PiecewiseMap, depth: int = 8,
     """
     if depth < 2:
         raise PreconditionError("relation depth must be >= 2")
-    xs = iterates(f, depth)
+    xs = tuple(islice(record or OrbitRecord(f), depth + 1))
     hits, band = [], []
     for i in range(depth):
         for j in range(i + 1, depth + 1):
@@ -495,14 +548,15 @@ def is_good(f: PiecewiseMap) -> GoodnessResult:
     case; +inf sentinel otherwise.
     """
     require_valid(f)
-    det = detect_periodic_critical(f)
+    record = OrbitRecord(f)
+    det = detect_periodic_critical(f, record=record)
     if not det.clean:
         raise AmbiguousPeriodicityError(
             f"periodicity ambiguous in band [tol, 10*tol): {det.ambiguous}",
             det.ambiguous)
     if det.period is None:
         return GoodnessResult(True, math.inf, None)
-    orb = critical_orbit(f, det.period, tol_c=PERIOD_TOL)
+    orb = critical_orbit(f, det.period, tol_c=PERIOD_TOL, record=record)
     mult = orb.products[det.period - 1]
     margin = abs(mult) * min(abs(f.df_plus), abs(f.df_minus)) - 2.0
     return GoodnessResult(margin > 0.0, margin, det.period)
@@ -658,10 +712,20 @@ class FamilyTerm:
         object.__setattr__(self, "t_powers", pw)
 
     def scalar(self, t: float) -> float:
-        return sum(t ** p for p in self.t_powers)
+        return _power_sum(t, ((1, p) for p in self.t_powers))
 
     def scalar_deriv(self, t: float) -> float:
-        return sum(p * t ** (p - 1) for p in self.t_powers)
+        return _power_sum(t, ((p, p - 1) for p in self.t_powers))
+
+
+def _power_sum(t: float, terms) -> float:
+    """sum of a * t**e over (a, e); a float power that overflows is
+    refused as a precondition, not raised as OverflowError."""
+    try:
+        return sum(a * t ** e for a, e in terms)
+    except OverflowError:
+        raise PreconditionError(
+            f"a power of t = {t!r} overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -671,11 +735,14 @@ class MapFamily:
     Polynomial dependence keeps the velocity exact (term-wise derivative),
     so no finite differencing ever enters the functional evaluations.
 
-    Each instance memoizes, per t, f_t's branches before any theta*w and,
-    apart (a velocity must not run ``term.scalar``, whose powers can
-    overflow), v_t as one DirectionField with its sup norm cached.  The
-    memo is the instance's, not its value's: families equal under ``==``
-    can differ by a signed zero.  It empties at MEMO_SIZE values of t.
+    Each instance memoizes f_t's branches before any theta*w per t and
+    its type (an int t sums its powers exactly), and, apart (a velocity
+    must not run ``term.scalar``, whose powers can overflow), v_t as one
+    DirectionField with its sup norm cached, per tuple of term scalars
+    s_m'(t): v_t reads nothing else, so a linear family builds it once.
+    The memo is the instance's, not its value's: families equal under
+    ``==`` can differ by a signed zero.  Each store empties at MEMO_SIZE
+    entries.
     """
 
     base: PiecewiseMap
@@ -695,17 +762,19 @@ class MapFamily:
                                  "(boundary zeros), not relaxed observables")
 
 
-def _at(F: MapFamily, store: dict, t: float, make):
-    """make(F, t), stored under t and its type (an int sums exactly)."""
+def _in_domain(F: MapFamily, t: float) -> None:
     lo, hi = F.domain
     if not lo <= t <= hi:
         raise PreconditionError(f"t={t} outside family domain [{lo}, {hi}]")
-    key = (type(t), t)
+
+
+def _memo(store: dict, key, make, F: MapFamily, arg):
+    """make(F, arg), stored under key."""
     hit = store.get(key)
     if hit is None:
         if len(store) >= MEMO_SIZE:
             store.clear()
-        hit = store[key] = make(F, t)
+        hit = store[key] = make(F, arg)
     return hit
 
 
@@ -720,10 +789,12 @@ def _chain(F: MapFamily, t: float):
     return left, right
 
 
-def _velocity(F: MapFamily, t: float) -> DirectionField:
+def _velocity(F: MapFamily, scalars: tuple[float, ...]) -> DirectionField:
+    """sum_m s_m * field_m over the nonzero scalars s_m: equal scalar
+    tuples give equal bits (+-0.0 are both skipped, and an int equal to a
+    float converts to it exactly)."""
     left, right = ZERO_FIELD.left, ZERO_FIELD.right
-    for term in F.terms:
-        s = term.scalar_deriv(t)
+    for term, s in zip(F.terms, scalars):
         if s != 0.0:
             sl, sr = _field_branches([s * c for c in term.field.left],
                                      [s * c for c in term.field.right])
@@ -738,7 +809,8 @@ def family_eval(F: MapFamily, t: float, check: bool = True,
     """Assemble f_t (+ theta*w given w) exactly; optionally validate (errors
     carry the report).  Bit for bit a chain of ``add_scaled`` over nonzero
     scalars, with a map's checks on each partial sum, but one map is built."""
-    left, right = _at(F, F._chains, t, _chain)
+    _in_domain(F, t)
+    left, right = _memo(F._chains, (type(t), t), _chain, F, t)
     if w is not None and theta != 0.0:
         left = _coeffs(_axpy(left, theta, w.left))
         right = _coeffs(_axpy(right, theta, w.right))
@@ -751,7 +823,9 @@ def family_eval(F: MapFamily, t: float, check: bool = True,
 def family_velocity(F: MapFamily, t: float) -> DirectionField:
     """Exact term-wise t-derivative of the family at t: bit for bit the
     ``add`` of ``field.scale(s)`` terms, with a field's checks on each."""
-    return _at(F, F._velocities, t, _velocity)
+    _in_domain(F, t)
+    scalars = tuple(term.scalar_deriv(t) for term in F.terms)
+    return _memo(F._velocities, scalars, _velocity, F, scalars)
 
 
 # ---------------------------------------------------------------------------

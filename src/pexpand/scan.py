@@ -13,7 +13,7 @@ from .errors import (InternalConsistencyError, NewtonDivergenceError,
                      PreconditionError)
 from .functional import default_tol_w, grid_size, j_functional
 from .maps import (KNEADING_DEPTH, PERIOD_TOL, DirectionField, FamilyTerm,
-                   MapFamily, PiecewiseMap, aux_dictionary,
+                   MapFamily, OrbitRecord, PiecewiseMap, aux_dictionary,
                    critical_relations, detect_periodic_critical, family_eval,
                    family_velocity, iterates, kneading)
 
@@ -66,13 +66,15 @@ class ScanResult:
 
 def _node(at, t: float, kneading_depth: int, relation_depth: int,
           period_tol: float) -> ScanRecord:
-    """The record of the node t, whose map and velocity are ``at(t)``."""
+    """The record of the node t, whose map and velocity are ``at(t)``; every
+    classifier reads one orbit record of the map."""
     try:
         f, v = at(t)
-        kn = kneading(f, kneading_depth)
-        rel = critical_relations(f, relation_depth, tol=period_tol)
-        det = detect_periodic_critical(f, tol=period_tol)
-        j = j_functional(f, v, period_tol=period_tol)
+        record = OrbitRecord(f)
+        kn = kneading(f, kneading_depth, record)
+        rel = critical_relations(f, relation_depth, period_tol, record)
+        det = detect_periodic_critical(f, tol=period_tol, record=record)
+        j = j_functional(f, v, period_tol=period_tol, record=record)
     except PreconditionError as exc:
         return ScanRecord(t, "", (), None, 0.0, (), "error",
                           (f"error:{type(exc).__name__}",))
@@ -98,8 +100,9 @@ def _signature(F: MapFamily, t: float, kneading_depth: int,
                relation_depth: int, period_tol: float):
     try:  # only polynomial families are localized; the velocity is not needed
         f = family_eval(F, t)
-        return (kneading(f, kneading_depth),
-                critical_relations(f, relation_depth, tol=period_tol)
+        record = OrbitRecord(f)
+        return (kneading(f, kneading_depth, record),
+                critical_relations(f, relation_depth, period_tol, record)
                 .relations)
     except PreconditionError:
         return None

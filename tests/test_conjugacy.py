@@ -1,6 +1,8 @@
 """Realization of itineraries, conjugacy transport, and table verification."""
 
 import dataclasses
+import hashlib
+import json
 import math
 import random
 
@@ -8,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from pexpand import cli
 from pexpand import conjugacy as cj
 from pexpand import deform as df
 from pexpand import functional as fn
@@ -207,6 +210,26 @@ class TestWordsAndTable:
         assert rep.unmatched == 0
         assert rep.max_residual < 1e-10
         assert rep.coverage >= 200
+
+    @pytest.mark.parametrize("f1, searches", [("golden_tent", 1),
+                                              ("full_tent", 2)])
+    def test_root_searches_per_table(self, tmp_path, monkeypatch, f1,
+                                     searches):
+        maps = []
+        real = cj._periodic_points
+        monkeypatch.setattr(cj, "_periodic_points",
+                            lambda f, *a: maps.append(f) or real(f, *a))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"f0": "golden_tent", "f1": f1}))
+        assert cli.main(["conjugacy", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert len(maps) == searches
+        if searches == 1:
+            # the bytes of the golden self-table from two searches
+            table = (tmp_path / "o" / "table.csv").read_bytes()
+            assert hashlib.sha256(table).hexdigest() == (
+                "ee097622e532bb3123a755b875986f0b"
+                "1647c69263cade67e4ac397d6e129d2e")
 
     def test_cross_table(self, golden, tent):
         table = cj.ConjugacyTable.build(golden, tent, depth=60)

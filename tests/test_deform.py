@@ -150,18 +150,29 @@ class TestEvaluationBudget:
             assert (sv.j_v.hex(), sv.j_w.hex()) == tuple(x.hex() for x in ref)
 
     def test_velocity_built_once_per_t(self, monkeypatch):
-        # a step's 11 slopes visit 5 values of t; v_t is built once at each
-        # (again only after the family's memo empties), not at every slope
+        # v_t reads t only through the scalars s_m'(t): the linear family
+        # builds it once over 441 slopes; with t + t**2 (s' = 1 + 2t) it is
+        # built once per distinct t of the steps (fewer than MEMO_SIZE here)
+        (term,) = series_family().terms
         slopes, builds = [], []
         real_slope, real_velocity = df.slope_field, mp._velocity
         monkeypatch.setattr(df, "slope_field", lambda *a, **k: slopes.append(
             a[2]) or real_slope(*a, **k))
-        monkeypatch.setattr(mp, "_velocity", lambda F, t: builds.append(
-            t) or real_velocity(F, t))
-        tr = df.integrate_deformation(series_family((-0.02, 0.02)),
-                                      bump_field())
-        assert len(slopes) == 11 * (len(tr.nodes) - 1) + 1
-        assert len(set(slopes)) <= len(builds) < 0.45 * len(slopes)
+        monkeypatch.setattr(mp, "_velocity", lambda F, s: builds.append(
+            s) or real_velocity(F, s))
+        for powers, domain in (((1,), (-0.02, 0.02)),
+                               ((1, 2), (-0.003, 0.003))):
+            slopes.clear()
+            builds.clear()
+            F = MapFamily(symmetric_tent(1.8),
+                          (FamilyTerm(term.field, powers),), domain)
+            tr = df.integrate_deformation(F, bump_field())
+            assert len(slopes) == 11 * (len(tr.nodes) - 1) + 1
+            distinct = len(set(slopes))
+            if powers == (1,):
+                assert len(slopes) == 441 and len(builds) == 1
+            else:
+                assert distinct < mp.MEMO_SIZE and len(builds) == distinct
 
     def test_fixed_steps_reuse_k1(self, monkeypatch):
         calls = []

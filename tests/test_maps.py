@@ -390,6 +390,13 @@ class TestMapFamily:
         assert type(term.t_powers[0]) is int
         assert term.scalar(0.5) == 0.75
 
+    def test_overflowing_power_refused(self):
+        term = FamilyTerm(bump_field(), (1, 3))
+        assert term.scalar(1e100) == 1e100 + 1e300
+        for scalar in (term.scalar, term.scalar_deriv):
+            with pytest.raises(PreconditionError, match="overflows"):
+                scalar(1e200)
+
     def test_repeated_t_reuses_one_velocity(self):
         F = self.golden_bump()
         v = family_velocity(F, 0.01)
@@ -412,7 +419,8 @@ class TestMapFamily:
                family_eval(F, float(t), check=False)
 
     def test_memo_stays_bounded(self):
-        F = self.golden_bump()
+        # t + t**2: v_t's term scalar 1 + 2t differs at every t
+        F = MapFamily(golden_tent(), (FamilyTerm(bump_field(), (1, 2)),))
         for t in np.linspace(-0.02, 0.02, 3 * MEMO_SIZE):
             family_eval(F, float(t))
             family_velocity(F, float(t))

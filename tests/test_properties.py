@@ -1,7 +1,12 @@
 """Randomized invariants: linearity and bounds of J, orbit growth,
 itinerary uniqueness, table monotonicity, scan determinism."""
 
+import dataclasses
+import math
+from itertools import islice
+
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
@@ -347,6 +352,211 @@ class TestCurvedOrbits:
         assume(j.mode == "series")
         ref = float(oracles.mp_j_series(f, v, n=300))
         assert abs(j.value - ref) <= j.tail_bound + 1e-11
+
+
+# The standalone loops that the orbit-record readers replaced, kept as the
+# reference: each one iterates its own orbit of c.
+
+def ref_kneading(f, n):
+    return "".join("C" if abs(y) < mp.TOL_C else "L" if y < 0.0 else "R"
+                   for y in islice(mp.orbit(f, 0.0), n))
+
+
+def ref_critical_orbit(f, n, tol_c):
+    points = tuple(islice(mp.orbit(f, 0.0, tol_c), n + 1))
+    products = [1.0]
+    truncated = None
+    prod = 1.0
+    for i, x in enumerate(points[1:], 1):
+        if abs(x) < tol_c or x == 0.0:
+            truncated = i
+            break
+        if i < n:
+            d = f.deriv(x)
+            if d == 0.0:
+                raise mp.PreconditionError(
+                    f"zero branch derivative at orbit point {x!r}")
+            prod *= d
+            products.append(prod)
+    return mp.CriticalOrbit(points, tuple(products), truncated)
+
+
+def ref_detect(f, p_max, tol):
+    band = []
+    for q, x in enumerate(islice(mp.orbit(f, 0.0, 0.0), 1, p_max + 1), 1):
+        r = abs(x)
+        if r < tol:
+            return mp.PeriodDetection(q, r, tuple(band))
+        if r < mp.HYSTERESIS * tol:
+            band.append((q, r))
+    return mp.PeriodDetection(None, None, tuple(band))
+
+
+def ref_relations(f, depth, tol):
+    xs = mp.iterates(f, depth)
+    hits, band = [], []
+    for i in range(depth):
+        for j in range(i + 1, depth + 1):
+            r = abs(xs[i] - xs[j])
+            if r < tol:
+                hits.append((i, j))
+            elif r < mp.HYSTERESIS * tol:
+                band.append((i, j))
+    hits.sort(key=lambda ij: (ij[0], ij[1] - ij[0]))
+    canonical, derived = [], []
+    for i, j in hits:
+        if any(i >= i0 and (j - i) % (j0 - i0) == 0 for i0, j0 in canonical):
+            derived.append((i, j))
+        else:
+            canonical.append((i, j))
+    return mp.CriticalRelationSet(tuple(canonical), tuple(sorted(derived)),
+                                  tuple(sorted(band)))
+
+
+def ref_series(f, v, n, tail):
+    if n == 0:
+        return 0.0, 0.0, 0
+    orb = ref_critical_orbit(f, n, 0.0)
+    terms = [v.value(x) / p for x, p in zip(orb.points[:n], orb.products[:n])]
+    return math.fsum(terms), tail if len(terms) == n else 0.0, len(terms)
+
+
+def ref_j(f, v):
+    n, tail = fn._series_depth(f, v, fn.J_TOL)
+    if n == 0:
+        return fn.JResult(0.0, "series", 0, 0.0)
+    det = ref_detect(f, max(mp.P_MAX, n), mp.PERIOD_TOL)
+    if det.clean and det.period is not None:
+        return fn.JResult(ref_series(f, v, det.period, 0.0)[0], "periodic",
+                          det.period, 0.0, det.period)
+    series, tail, n = ref_series(f, v, n, tail)
+    if det.clean:
+        return fn.JResult(series, "series", n, tail)
+    q = min(q for q, _ in det.ambiguous)
+    if det.period is not None:
+        q = min(q, det.period)
+    return fn.JResult(None, "ambiguous", n, tail, q,
+                      (("periodic", ref_series(f, v, q, 0.0)[0]),
+                       ("series", series)))
+
+
+def _bits(r):
+    """r with every float as its hex string, dataclasses as tuples."""
+    if dataclasses.is_dataclass(r):
+        return type(r).__name__, _bits(dataclasses.astuple(r))
+    if isinstance(r, (tuple, list)):
+        return tuple(_bits(x) for x in r)
+    return r.hex() if isinstance(r, float) else r
+
+
+def _read(make):
+    """The bits of what make() returns, or its error's type and text."""
+    try:
+        return _bits(make())
+    except (mp.PreconditionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+READERS = ("kneading", "critical_orbit", "detect", "relations", "j")
+
+
+def _readers(f, v, n, tol_c, record):
+    """Each record reader at depth n on record, and its reference loop."""
+    m = max(2, n)
+    return {
+        "kneading": (lambda: mp.kneading(f, n, record),
+                     lambda: ref_kneading(f, n)),
+        "critical_orbit": (lambda: mp.critical_orbit(f, n, tol_c, record),
+                           lambda: ref_critical_orbit(f, n, tol_c)),
+        "detect": (lambda: mp.detect_periodic_critical(
+                       f, m, mp.PERIOD_TOL, record),
+                   lambda: ref_detect(f, m, mp.PERIOD_TOL)),
+        "relations": (lambda: mp.critical_relations(
+                          f, m, mp.PERIOD_TOL, record),
+                      lambda: ref_relations(f, m, mp.PERIOD_TOL)),
+        "j": (lambda: fn.j_functional(f, v, record=record),
+              lambda: ref_j(f, v)),
+    }
+
+
+def _period_tent(p: int, lo: float, hi: float) -> mp.PiecewiseMap:
+    """The tent in [lo, hi] whose f^p(c) changes sign there, to the bit."""
+    def g(s):
+        return mp.iterates(mp.symmetric_tent(s), p)[p]
+    neg = g(lo) < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mp.symmetric_tent(lo)
+        if (g(mid) < 0.0) == neg:
+            lo = mid
+        else:
+            hi = mid
+
+
+# maps whose raw orbit of c first enters the band |x| < TOL_C at x_k
+BAND_ENTRIES = [
+    (GOLDEN, 3),
+    (_period_tent(5, 1.50, 1.53), 5),
+    (mp.symmetric_tent(1.8392867552141612), 4),  # ROADMAP F4's base
+    (TENT, None),                  # c -> 1 -> -1 -> -1 ...: never returns
+    (mp.symmetric_tent(1.0 + 5e-11), 1),         # f(c) = 5e-11
+]
+
+
+class TestOrbitRecordReaders:
+    """Readers sharing one orbit record against the standalone loops they
+    replaced: strings equal, floats and errors bit for bit, read in any
+    order and at any depth."""
+
+    @given(curved_maps, fields, st.integers(1, 70),
+           st.sampled_from([mp.TOL_C, mp.PERIOD_TOL, 0.0]),
+           st.permutations(READERS))
+    @settings(deadline=None, max_examples=40)
+    def test_readers_share_one_record(self, f, v, n, tol_c, order):
+        record = mp.OrbitRecord(f)
+        pairs = _readers(f, v, n, tol_c, record)
+        for name in order:
+            read, ref = pairs[name]
+            assert _read(read) == _read(ref), name
+
+    @pytest.mark.parametrize("f, k", BAND_ENTRIES,
+                             ids=["golden", "period-5", "f4-base",
+                                  "full-tent", "k-1"])
+    def test_band_entry_at_k(self, f, k):
+        xs = mp.iterates(f, 64)
+        assert k == next((i for i in range(1, 65)
+                          if abs(xs[i]) < mp.TOL_C), None)
+        depths = sorted({1, 2, 3, 30, 64} | (
+            {k - 1, k, k + 1, 2 * k, 2 * k + 1} - {0} if k else set()))
+        v = mp.bump_field()
+        # one record read shallow to deep, one deep to shallow
+        for order in (depths, depths[::-1]):
+            record = mp.OrbitRecord(f)
+            for n in order:
+                for tol_c in (mp.TOL_C, mp.PERIOD_TOL, 0.0):
+                    for read, ref in _readers(f, v, n, tol_c,
+                                              record).values():
+                        assert _read(read) == _read(ref), (n, tol_c)
+
+
+class TestVelocityMemo:
+    @pytest.mark.parametrize("ts", [(0, 0.0, -0.0), (-0.0, 0.0, 0),
+                                    (1, 1.0), (1.0, 1), (3, 3.0)])
+    def test_equal_term_scalars_give_equal_bits(self, ts):
+        # t + t**2 on bump and t**2 on odd: (s_1', s_2') = (1 + 2t, 2t), so
+        # t = 0, 0.0 and -0.0 give (1, 0), (1.0, 0.0) and (1.0, -0.0), and
+        # an int t gives the int twins of a float t's scalars
+        terms = (mp.FamilyTerm(mp.bump_field(), (1, 2)),
+                 mp.FamilyTerm(mp.odd_field(), (2,)))
+        F = mp.MapFamily(TENT, terms, (-4.0, 4.0))
+        for t in ts:
+            scalars = tuple(term.scalar_deriv(t) for term in terms)
+            fresh = mp.MapFamily(TENT, terms, (-4.0, 4.0))
+            want = outcome(lambda: mp._velocity(fresh, scalars))
+            assert outcome(lambda: mp.family_velocity(F, t)) == want
+            assert outcome(lambda: ref_velocity(F, t)) == want
+        assert len(F._velocities) == 1
 
 
 class TestItineraryUniqueness:

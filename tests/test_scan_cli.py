@@ -600,6 +600,24 @@ def test_overflowing_map_refused_in_one_line(tmp_path, capfd):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_family_power_is_an_error_node(tmp_path, capfd):
+    # t**2 overflows a float at the grid ends: those two nodes become
+    # error records and the scan ends normally, with nothing on stderr
+    cfg = _write_cfg(tmp_path / "c.json", {
+        "family": {"base": "golden_tent",
+                   "terms": [{"field": "bump", "t_powers": [2]}],
+                   "domain": [-1e200, 1e200]},
+        "grid": {"lo": -1e200, "hi": 1e200, "n": 3}})
+    assert cli.main(["scan", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+    assert capfd.readouterr().err == ""
+    rows = (tmp_path / "o" / "records.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[-2:] for r in rows] == [
+        ["error", "error:PreconditionError"], ["periodic:3", ""],
+        ["error", "error:PreconditionError"]]
+
+
 def test_continue_refuses_lower_period_at_centre(tmp_path, capsys):
     # theta = 0 is the golden tent itself, whose critical point has period
     # 3, so a period-6 continuation has no centre to start from

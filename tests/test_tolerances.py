@@ -4,18 +4,23 @@ Every tolerance is a module constant.  Each assertion below is one
 ordering that a line of the package depends on; the comment above it
 quotes that line.
 
-F4 is a known violation and stays open, so it is not asserted here:
+F4 is a known violation and stays open, so the order is not asserted:
 ``integrate_deformation`` accepts nodes whose relation residual is up to
 PERIOD_TOL (1e-9), while the kneading's critical band is TOL_C (1e-10).
 ``build_tilde_family`` can therefore raise KneadingDriftError on a trace
-the integrator accepted.
+the integrator accepted.  ``test_f4_accepted_trace_keeps_its_kneading``
+reproduces it as a strict xfail: it fails with KneadingDriftError while
+F4 is open, and fails as an unexpected pass once F4 is mended.
 """
+
+import pytest
 
 from pexpand import conjugacy as cj
 from pexpand import deform as df
 from pexpand import functional as fn
 from pexpand import maps as mp
 from pexpand import scan as sc
+from pexpand.errors import KneadingDriftError
 
 
 def test_tolerance_order():
@@ -57,3 +62,25 @@ def test_tolerance_order():
     assert mp.validate(f).passed
     assert f.value(-1.0) < -1.0 and f.value(1.0) < -1.0
     assert mp.iterates(f, 3) == [0.0, cv, f.value(1.0), f.value(-1.0)]
+
+
+@pytest.mark.xfail(strict=True, raises=KneadingDriftError,
+                   reason="F4: relation residuals up to PERIOD_TOL are "
+                          "accepted, the kneading band is TOL_C")
+def test_f4_accepted_trace_keeps_its_kneading():
+    # the tent of period-4 kneading CRLL moved along a generic field made
+    # horizontal along w = odd, deformed along odd
+    base = mp.symmetric_tent(1.8392867552141612)
+    v = (mp.bump_field().scale(-0.99).add(mp.odd_field().scale(0.64))
+         .add(mp.square_bump_field().scale(0.59)))
+    w = mp.odd_field()
+    F = mp.MapFamily(base, (mp.FamilyTerm(fn.kernel_projection(
+        base, v, w).field),))
+    trace = df.integrate_deformation(F, w)
+    assert mp.kneading(base, 8) == "CRLLCRLL"
+    assert len(trace.nodes) == 91
+    # every node was accepted, some with a residual outside the band
+    worst = max(n.relation_residual for n in trace.nodes)
+    assert mp.TOL_C < worst < mp.PERIOD_TOL
+    # raises KneadingDriftError at t = -0.00768: CRLLRRLL... vs CRLLCRLL...
+    df.build_tilde_family(F, w, trace)
