@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import (
     AmbiguousPeriodicityError,
@@ -38,7 +38,6 @@ D_MAX = 16                # maximum branch polynomial degree
 TOL_C = 1e-10             # half-width of the critical band
 PERIOD_TOL = 1e-9         # default periodicity tolerance
 HYSTERESIS = 10.0         # ambiguity band is [tol, HYSTERESIS*tol)
-GRID_POINTS = 1024        # expansion certification grid per branch
 BOUNDARY_SLACK = 1e-12    # allowed overshoot of f(0) above 1
 ENDPOINT_TOL = 1e-9       # float slack for the boundary fixing check
 P_MAX = 64                # deepest period the periodicity search tries
@@ -125,22 +124,43 @@ def _on_branches(left: tuple[float, ...], right: tuple[float, ...], x):
     return float(_pval(left if x < 0.0 else right, x))
 
 
-def _branch_sup(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
-    """Exact sup of |p| over [lo, hi]: check endpoints and interior critical points."""
-    cand = [lo, hi]
-    dc = np.asarray(_der(coeffs, 1))
-    # Companion-matrix root finding divides by the leading coefficient, so a
-    # leading term hundreds of orders below the rest overflows into NaN roots
-    # and the interior maxima silently vanish.  Terms that small cannot move
-    # the polynomial on a bounded interval; drop them before solving.
-    scale = float(np.max(np.abs(dc)))
-    if np.isfinite(scale) and scale > 0.0:
-        dc = P.polytrim(dc, scale * 1e-15)
-    if dc.size > 1:
-        for r in P.polyroots(dc):
-            if np.isfinite(r) and abs(r.imag) < 1e-12 and lo < r.real < hi:
-                cand.append(float(r.real))
-    return float(max(abs(_pval(coeffs, x)) for x in cand))
+def _stationary(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
+    """Points in (lo, hi) where the polynomial p is stationary: real roots of
+    p' without the leading terms too small to move it on a bounded interval."""
+    dc = _der(p, 1)
+    scale = max(map(abs, dc))
+    n = len(dc) - 1
+    while n and not abs(dc[n]) > scale * 1e-15:
+        n -= 1
+    roots = (-dc[0] / dc[1],) if n == 1 else ()
+    if n == 2:  # x^2 + b x + c, whose |b|, |c| < 1e15 cannot overflow
+        b, c = dc[1] / dc[2], dc[0] / dc[2]
+        disc = b * b - 4.0 * c
+        if disc >= 0.0:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = (q, c / q) if q else (0.0,)
+    elif n > 2:  # no signed zero in the key, so equal keys mean equal bits
+        roots = _eigen_roots(tuple(c + 0.0 for c in dc[:n + 1]))
+    return [r for r in roots if lo < r < hi]
+
+
+@lru_cache(maxsize=1)
+def _eigen_roots(dc: tuple[float, ...]) -> tuple[float, ...]:
+    """Real roots of dc: its companion matrix's eigenvalues (numpy's polyroots
+    without its array checks), good to u*|matrix| only, so polished by Newton
+    while its step shrinks; kept, as a map's two branches often share D2f."""
+    n = len(dc) - 1
+    m = np.eye(n, k=-1)
+    m[:, -1] -= np.array(dc[:n]) / dc[n]
+    dd, roots = _der(dc, 1), []
+    for x in (r.real for r in np.linalg.eigvals(m).tolist()
+              if abs(r.imag) < 1e-12):
+        step, s = math.inf, _pval(dc, x) / (_pval(dd, x) or math.inf)
+        while abs(s) < step:
+            x, step = x - s, abs(s)
+            s = _pval(dc, x) / (_pval(dd, x) or math.inf)
+        roots.append(x)
+    return tuple(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +251,20 @@ def interval_image(f: PiecewiseMap, lo: float, hi: float) -> tuple[float, float]
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
+class ValidationCheck(NamedTuple):
     name: str
     passed: bool
-    detail: str
+    template: str
+    values: tuple[float, ...]
     witness: float | None = None
 
+    @property
+    def detail(self) -> str:
+        """The check's values in words, formatted only when read."""
+        return self.template.format(*self.values)
 
-@dataclass(frozen=True)
-class ValidationReport:
+
+class ValidationReport(NamedTuple):
     passed: bool
     checks: tuple[ValidationCheck, ...]
     lambda_f: float | None
@@ -250,26 +274,20 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-# the certification grids of the two branches, built once
-_GRID_LEFT = np.linspace(-1.0, 0.0, GRID_POINTS)
-_GRID_RIGHT = np.linspace(0.0, 1.0, GRID_POINTS)
-_GRID_LEFT.flags.writeable = _GRID_RIGHT.flags.writeable = False
-
-
-def _certified_deriv_range(coeffs: tuple[float, ...], xs: np.ndarray):
-    """Min/max of the branch derivative on the grid xs, with a Lipschitz slack.
-
-    The slack sum(|c_j| j(j-1)) bounds |D2f| on |x| <= 1, so grid extrema
-    are off by at most slack*h/2.  Sound for monomial branches without
-    interval arithmetic.
-    """
-    dc = _der(coeffs, 1)
-    vals = _pval(dc, xs)
-    lip = sum(abs(c) * j * (j - 1) for j, c in enumerate(coeffs))
-    pad = lip * float(xs[-1] - xs[0]) / (GRID_POINTS - 1) / 2.0
-    i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
-    return (float(vals[i_min]) - pad, float(vals[i_max]) + pad,
-            float(xs[i_min]), float(xs[i_max]))
+def _certified_range(dc: tuple[float, ...], lo: float, hi: float):
+    """Certified (min, max, argmin, argmax) on [lo, hi] of a branch's Df, dc
+    as _der rounds it: values at the ends and stationary points, moved out by
+    Horner's sum_i gamma_{min(2i+1, 2d)} |dc_i| (Higham, 5.1), u|dc_i| per
+    rounded j*c_j, j >= 3, 2**-1075 per underflowing product, and one ulp."""
+    d = len(_trim(dc)) - 1
+    err = sum((min(2 * i + 1, 2 * d) + (i > 1)) * abs(c)
+              for i, c in enumerate(dc)) / (2**53 - 2 * d - 1) + d * 2**-1074
+    vx = [(_pval(dc, x), x) for x in (lo, hi, *_stationary(dc, lo, hi))]
+    (v_min, x_min), (v_max, x_max) = min(vx), max(vx)
+    if err:
+        v_min = math.nextafter(v_min - err, -math.inf)
+        v_max = math.nextafter(v_max + err, math.inf)
+    return v_min, v_max, x_min, x_max
 
 
 @lru_cache(maxsize=4096)
@@ -284,29 +302,27 @@ def validate(f: PiecewiseMap) -> ValidationReport:
     fm1, fp1 = f.value(-1.0), f.value(1.0)
     ok = abs(fm1 + 1.0) <= ENDPOINT_TOL and abs(fp1 + 1.0) <= ENDPOINT_TOL
     checks.append(ValidationCheck(
-        "boundary_fixed", ok,
-        f"f(-1)={fm1!r}, f(1)={fp1!r}", None if ok else (-1.0 if abs(fm1 + 1) > ENDPOINT_TOL else 1.0)))
+        "boundary_fixed", ok, "f(-1)={!r}, f(1)={!r}", (fm1, fp1),
+        None if ok else (-1.0 if abs(fm1 + 1) > ENDPOINT_TOL else 1.0)))
 
-    # the checks refuse the inf and nan of an overflow, unwarned
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo_l, _hi_l, w_l, _ = _certified_deriv_range(f.left, _GRID_LEFT)
-        _lo_r, hi_r, _, w_r = _certified_deriv_range(f.right, _GRID_RIGHT)
+    lo_l, _hi_l, w_l, _ = _certified_range(f.dleft, -1.0, 0.0)
+    _lo_r, hi_r, _, w_r = _certified_range(f.dright, 0.0, 1.0)
     ok_l = lo_l > 1.0
     checks.append(ValidationCheck(
-        "expansion_left", ok_l, f"certified min Df on [-1,0] = {lo_l!r}",
+        "expansion_left", ok_l, "certified min Df on [-1,0] = {!r}", (lo_l,),
         None if ok_l else w_l))
 
     ok_r = hi_r < -1.0
     checks.append(ValidationCheck(
-        "expansion_right", ok_r, f"certified max Df on [0,1] = {hi_r!r}",
+        "expansion_right", ok_r, "certified max Df on [0,1] = {!r}", (hi_r,),
         None if ok_r else w_r))
 
     cv = f.critical_value
     ok_c = cv <= 1.0 + BOUNDARY_SLACK
     checks.append(ValidationCheck(
-        "critical_value", ok_c, f"f(0)={cv!r}", None if ok_c else 0.0))
+        "critical_value", ok_c, "f(0)={!r}", (cv,), None if ok_c else 0.0))
 
-    passed = all(c.passed for c in checks)
+    passed = ok and ok_l and ok_r and ok_c
     lam = min(lo_l, -hi_r) if (ok_l and ok_r) else None
     return ValidationReport(passed, tuple(checks), lam, cv)
 
@@ -665,8 +681,9 @@ class DirectionField:
 
     @cached_property
     def _sup(self) -> float:
-        return max(_branch_sup(self.left, -1.0, 0.0),
-                   _branch_sup(self.right, 0.0, 1.0))
+        return float(max(abs(_pval(c, x)) for c, lo, hi in (
+            (self.left, -1.0, 0.0), (self.right, 0.0, 1.0))
+            for x in (lo, hi, *_stationary(c, lo, hi))))
 
     def sup_norm(self) -> float:
         """Exact sup |v| over I via branch stationary points, computed once."""
@@ -719,10 +736,10 @@ class FamilyTerm:
 
 
 def _power_sum(t: float, terms) -> float:
-    """sum of a * t**e over (a, e); a float power that overflows is
-    refused as a precondition, not raised as OverflowError."""
+    """sum of a * t**e over (a, e) as a float (an int t's exactly); one that
+    overflows a float is refused as a precondition, not an OverflowError."""
     try:
-        return sum(a * t ** e for a, e in terms)
+        return float(sum(a * t ** e for a, e in terms))
     except OverflowError:
         raise PreconditionError(
             f"a power of t = {t!r} overflows a float") from None
@@ -791,8 +808,7 @@ def _chain(F: MapFamily, t: float):
 
 def _velocity(F: MapFamily, scalars: tuple[float, ...]) -> DirectionField:
     """sum_m s_m * field_m over the nonzero scalars s_m: equal scalar
-    tuples give equal bits (+-0.0 are both skipped, and an int equal to a
-    float converts to it exactly)."""
+    tuples give equal bits (+-0.0 are both skipped)."""
     left, right = ZERO_FIELD.left, ZERO_FIELD.right
     for term, s in zip(F.terms, scalars):
         if s != 0.0:
@@ -812,8 +828,7 @@ def family_eval(F: MapFamily, t: float, check: bool = True,
     _in_domain(F, t)
     left, right = _memo(F._chains, (type(t), t), _chain, F, t)
     if w is not None and theta != 0.0:
-        left = _coeffs(_axpy(left, theta, w.left))
-        right = _coeffs(_axpy(right, theta, w.right))
+        left, right = _axpy(left, theta, w.left), _axpy(right, theta, w.right)
     f = PiecewiseMap(left, right, F.base.k)
     if check:
         require_valid(f)

@@ -67,3 +67,35 @@ MP_C_MINUS = (MP_A ** 3 - 2) / (MP_A ** 3 - 1)
 MP_D_GOLDEN = -MP_J_GOLDEN_BUMP / MP_J_GOLDEN_ODD  # = a^2
 
 MP_TRANSVERSAL = -MP_A ** 2 * MP_J_GOLDEN_BUMP
+
+
+
+def _sign_changes(p, lo, hi):
+    """Points of [lo, hi] where the polynomial p (ascending) changes sign:
+    one per monotone piece between the stationary points of p (Rolle),
+    found by Illinois bracketing."""
+    while p and p[-1] == 0:
+        p = p[:-1]
+    if len(p) < 2:
+        return []
+    knots = [lo, *_sign_changes([j * c for j, c in enumerate(p)][1:], lo, hi),
+             hi]
+    out = []
+    for a, b in zip(knots, knots[1:]):
+        if mp.polyval(p[::-1], a) * mp.polyval(p[::-1], b) < 0:
+            out.append(mp.findroot(lambda x: mp.polyval(p[::-1], x), (a, b),
+                                   solver="illinois", verify=False))
+    return knots[1:-1] + out
+
+
+def mp_deriv_range(coeffs, lo, hi):
+    """(min, max) over [lo, hi] of the branch derivative sum_j j c_j x^(j-1)
+    at 50 digits, from the exact products j*c_j: its values at the ends and
+    at the sign changes of the second derivative (and at more points, which
+    cannot move a min or max past the true one)."""
+    with mp.workdps(50):
+        d1 = [j * mp.mpf(c) for j, c in enumerate(coeffs)][1:] or [mp.mpf(0)]
+        d2 = [j * c for j, c in enumerate(d1)][1:]
+        xs = [mp.mpf(lo), mp.mpf(hi), *_sign_changes(d2, mp.mpf(lo), mp.mpf(hi))]
+        vals = [mp.polyval(d1[::-1], x) for x in xs]
+        return min(vals), max(vals)

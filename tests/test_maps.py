@@ -27,6 +27,7 @@ from pexpand import (
     kneading,
     odd_field,
     require_valid,
+    square_bump_field,
     symmetric_tent,
     validate,
 )
@@ -81,6 +82,11 @@ class TestValidate:
         rep = validate(curved_not_good())
         assert rep.passed
         assert rep.lambda_f > 1.0
+
+    def test_tent_lambda_is_its_slope(self):
+        # a constant Df is evaluated exactly, so no rounding pad applies
+        for s in [*np.linspace(1.0 + 1e-12, 2.0, 257), A, 1.0 + 5e-11]:
+            assert validate(symmetric_tent(s)).lambda_f.hex() == s.hex()
 
 
 class TestConstruction:
@@ -339,6 +345,14 @@ class TestDirectionField:
         # x - x^3 peaks at 2/(3 sqrt 3)
         assert odd_field().sup_norm() == pytest.approx(2 / (3 * math.sqrt(3)), abs=1e-12)
 
+    def test_sup_norm_bits(self):
+        # the built-in fields' stationary points: none inside for bump,
+        # +-1/sqrt(3) in closed form for odd, companion roots for square_bump
+        assert [f().sup_norm().hex() for f in (bump_field, odd_field,
+                                               square_bump_field)] == \
+            ["0x1.0000000000000p+0", "0x1.8a2345cc04426p-2",
+             "0x1.0000000000000p-2"]
+
     def test_grid_norm_orders(self):
         v = bump_field()
         # order 1 derivative -2x has sup 2, dominating the order-0 sup
@@ -396,6 +410,13 @@ class TestMapFamily:
         for scalar in (term.scalar, term.scalar_deriv):
             with pytest.raises(PreconditionError, match="overflows"):
                 scalar(1e200)
+
+    def test_int_power_overflow_refused(self):
+        # an int t sums its powers exactly; 10**400 does not fit a float
+        F = MapFamily(golden_tent(), (FamilyTerm(bump_field(), (2,)),),
+                      (-1e300, 1e300))
+        with pytest.raises(PreconditionError, match="overflows a float"):
+            family_eval(F, 10**200)
 
     def test_repeated_t_reuses_one_velocity(self):
         F = self.golden_bump()

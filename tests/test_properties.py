@@ -65,6 +65,122 @@ class TestKernelBits:
         assert _hex(mp._der(c, m)) == _hex(P.polyder(np.array(c), m))
 
 
+def grid_range(coeffs, lo, hi):
+    """The former certificate: Df's extrema on 1024 grid points, padded by
+    the Lipschitz slack sum |c_j| j (j - 1) times half the spacing."""
+    xs = np.linspace(lo, hi, 1024)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = P.polyval(xs, P.polyder(np.array(coeffs)))
+    pad = sum(abs(c) * j * (j - 1) for j, c in enumerate(coeffs)) \
+        * (hi - lo) / 1023 / 2
+    return float(vals.min()) - pad, float(vals.max()) + pad
+
+
+@st.composite
+def bent_maps(draw):
+    """Tents plus multiples of x^k (1 - x^2), k < 6, one list per branch:
+    maps of branch degree 1-7 that fix the boundary, expanding or not."""
+    s = draw(st.floats(1.05, 2.0))
+    eps = st.one_of(st.floats(-0.08, 0.08), st.floats(-4.0, 4.0))
+    e0 = draw(eps)
+    out = []
+    for base in ((s - 1.0, s), (s - 1.0, -s)):
+        c = [*base] + [0.0] * 6
+        for k, e in enumerate([e0] + draw(st.lists(eps, max_size=5))):
+            c[k] += e
+            c[k + 2] -= e
+        out.append(mp._trim(tuple(c)))
+    return mp.PiecewiseMap(*out)
+
+
+def assert_certified(f):
+    """Each branch's certified Df range holds the 50-digit one and is never
+    looser than the former grid bound by more than 1e-12; lambda_f, when
+    given, is at most min |Df|."""
+    true = []
+    for coeffs, dc, lo, hi in ((f.left, f.dleft, -1.0, 0.0),
+                               (f.right, f.dright, 0.0, 1.0)):
+        c_min, c_max, _, _ = mp._certified_range(dc, lo, hi)
+        t_min, t_max = oracles.mp_deriv_range(coeffs, lo, hi)
+        g_min, g_max = grid_range(coeffs, lo, hi)
+        assert not (c_min > t_min or c_max < t_max)  # nan certifies nothing
+        if math.isfinite(g_min) and math.isfinite(g_max):  # no overflow
+            assert c_min >= g_min - 1e-12 and c_max <= g_max + 1e-12
+        true.append((t_min, t_max))
+    lam = mp.validate(f).lambda_f
+    if lam is not None:
+        assert lam <= min(true[0][0], -true[1][1])
+
+
+class TestExpansionCertificate:
+    @given(bent_maps())
+    # D2f's leading term 4.2e-13 leaves its companion ill-conditioned: the
+    # eigenvalue near 0.508 is off by 2.8e-7 until Newton polishes it
+    @example(mp.PiecewiseMap((1.0, 2.0), (1.0, -2.0, 1.0, 0.0, 0.0, 1e-14,
+                                          -1.0, -1e-14)))
+    @settings(deadline=None, max_examples=300)
+    def test_lambda_is_sound_and_tight(self, f):
+        assert_certified(f)
+
+    def test_interior_minimum(self):
+        # Df = 2.1 + 4x + 4x^2 + 0.4x^3 on [-1, 0] dips to about 1.0433 near
+        # x = -0.54, inside the branch; the grid's slack was 6.5e-3
+        c0 = 1.0 / 3.0
+        f = mp.PiecewiseMap((c0, 2.1, 2.0, 4.0 / 3.0, 0.1), (c0, -c0 - 1.0))
+        assert_certified(f)
+        lam = mp.validate(f).lambda_f
+        t_min, _ = oracles.mp_deriv_range(f.left, -1.0, 0.0)
+        assert t_min < 1.044 and t_min - lam < 1e-14
+        assert lam > grid_range(f.left, -1.0, 0.0)[0] + 6e-3
+
+    def test_tiny_leading_term(self):
+        # a leading term 300 orders below the rest cannot move Df, and its
+        # companion matrix would overflow
+        a = mp.GOLDEN_RATIO
+        for tiny in (1e-300, 5e-324):
+            f = mp.PiecewiseMap((a - 1.0, a, 0.0, 0.0, 0.0, 0.0, 0.0, tiny),
+                                (a - 1.0, -a, 0.0, 0.0, 0.0, -tiny))
+            assert_certified(f)
+            assert a - 1e-14 < mp.validate(f).lambda_f < a
+
+    @pytest.mark.parametrize("left, right", [
+        # subnormal terms: Df dips to -1.7e-324 at x = -1/3, where Horner's
+        # products underflow to 0 and a relative bound alone vanishes
+        ((0.0, 0.0, 5e-324, 5e-324), (0.0, 0.0)),
+        # Df = 871 + 5e-65 x^5: a large constant term is rounded once, not
+        # 2d times, so the bound stays within 1e-12 of the grid's
+        ((0.0, 0.0), (0.0, 871.0, 0.0, 0.0, 0.0, 0.0, 8.695048019438226e-66)),
+    ])
+    def test_extreme_scales(self, left, right):
+        assert_certified(mp.PiecewiseMap(left, right))
+
+    def test_slope_just_above_one(self):
+        s = 1.0 + 5e-11
+        assert_certified(mp.symmetric_tent(s))
+        rep = mp.validate(mp.symmetric_tent(s))
+        assert rep.passed and rep.lambda_f == s
+
+    @pytest.mark.parametrize("left, right, failed", [
+        # Df >= 1e300 on the left and <= -6.7e299 on the right: only the
+        # boundary breaks
+        ((0.0, 1e300, -1e300, 1e300), (0.0, -1e300, 1e300, -1e300),
+         {"boundary_fixed"}),
+        # 5 * c_5 and the second derivative overflow
+        ((0.0, 1.5, 0.0, 0.0, 0.0, 1e308), (0.0, -1.5, 0.0, 0.0, 0.0, 1e308),
+         {"boundary_fixed", "expansion_left", "expansion_right"}),
+        # Df = 1e200 ((x + 1/2)^2 - 1/100) (x + 2) dips below 0 near
+        # x = -1/2, where the squares of D2f's coefficients overflow
+        ((0.0, 0.48e200, 1.12e200, 1e200, 0.25e200), (0.0, -2.0),
+         {"boundary_fixed", "expansion_left"}),
+    ])
+    def test_huge_coefficients_fail_as_a_report(self, left, right, failed):
+        f = mp.PiecewiseMap(left, right)
+        assert_certified(f)
+        rep = mp.validate(f)
+        assert {c.name for c in rep.failures()} == failed
+        assert all(isinstance(c.detail, str) for c in rep.checks)
+
+
 # dyadic coefficients k/8 make the boundary sums of drawn fields exact
 dyadic = st.one_of(st.sampled_from([0.0, -0.0]),
                    st.integers(-64, 64).map(lambda k: k / 8.0))
@@ -545,8 +661,8 @@ class TestVelocityMemo:
                                     (1, 1.0), (1.0, 1), (3, 3.0)])
     def test_equal_term_scalars_give_equal_bits(self, ts):
         # t + t**2 on bump and t**2 on odd: (s_1', s_2') = (1 + 2t, 2t), so
-        # t = 0, 0.0 and -0.0 give (1, 0), (1.0, 0.0) and (1.0, -0.0), and
-        # an int t gives the int twins of a float t's scalars
+        # t = 0, 0.0 and -0.0 give (1.0, 0.0), (1.0, 0.0) and (1.0, -0.0),
+        # and an int t gives a float t's scalars
         terms = (mp.FamilyTerm(mp.bump_field(), (1, 2)),
                  mp.FamilyTerm(mp.odd_field(), (2,)))
         F = mp.MapFamily(TENT, terms, (-4.0, 4.0))
