@@ -19,7 +19,6 @@ from .maps import (
     DirectionField,
     FamilyTerm,
     MapFamily,
-    OrbitRecord,
     PiecewiseMap,
     aux_dictionary,
     bump_field,

@@ -31,8 +31,8 @@ from .errors import (
 )
 from .functional import (
     default_tol_w,
-    j_pair,
     j_periodic_sum,
+    j_series_sum,
 )
 from .maps import (
     HYSTERESIS,
@@ -40,7 +40,6 @@ from .maps import (
     PERIOD_TOL,
     DirectionField,
     MapFamily,
-    OrbitRecord,
     PiecewiseMap,
     critical_orbit,
     critical_relations,
@@ -135,19 +134,21 @@ def slope_field(F: MapFamily, w: DirectionField, t: float, theta: float,
     tol_w = default_tol_w(w)
     g = family_eval(F, t, w=w, theta=theta)
     v = family_velocity(F, t)
-    # one orbit record gives the residual, the classification and both sums
-    record = OrbitRecord(g)
+    # g's one orbit gives the residual, the classification and both sums
     manifold_res = p_used = None
     if relation_period is not None:
-        orb = critical_orbit(g, relation_period, tol_c=0.0, record=record)
+        orb = critical_orbit(g, relation_period)
         manifold_res = abs(orb.points[relation_period])
         if manifold_res < band:
             p_used = relation_period
     if p_used is None:
-        det = detect_periodic_critical(g, record=record)
+        det = detect_periodic_critical(g)
         qs = [det.period] if det.period is not None else []
         p_used = min(qs + [q for q, _ in det.ambiguous], default=None)
-    jv, jw = j_pair(g, v, w, p_used, record)
+    if p_used is None:
+        jv, jw = j_series_sum(g, v)[0], j_series_sum(g, w)[0]
+    else:
+        jv, jw = j_periodic_sum(g, v, p_used), j_periodic_sum(g, w, p_used)
     mode = "series-pair" if p_used is None else "periodic-pair"
     if abs(jw) <= tol_w:
         raise DegenerateDirectionError(
@@ -377,15 +378,14 @@ def _newton(F: MapFamily, w: DirectionField, p: int, t: float, theta: float,
     """
     g = family_eval(F, t, w=w, theta=theta)
     for it in range(1, max_iter + 1):
-        record = OrbitRecord(g)
-        orb = critical_orbit(g, p, tol_c=0.0, record=record)
+        orb = critical_orbit(g, p)
         xs = orb.points
         if abs(xs[p]) < NEWTON_TOL:
             return theta, g, xs, it
         if len(orb.products) < p:
             raise NewtonDivergenceError(
                 f"critical orbit returns to c at step {orb.truncated_at} < {p}")
-        dG = orb.products[p - 1] * j_periodic_sum(g, w, p, record)
+        dG = orb.products[p - 1] * j_periodic_sum(g, w, p)
         if abs(dG) < 1e-14:
             raise NewtonDivergenceError(
                 f"degenerate derivative {dG!r} at theta={theta!r}")
@@ -542,15 +542,14 @@ def transversal_derivative(F: MapFamily, p: int) -> TransversalReport:
     exactness of the velocity bookkeeping.
     """
     f = family_eval(F, 0.0)
-    record = OrbitRecord(f)
-    det = detect_periodic_critical(f, record=record)
+    det = detect_periodic_critical(f)
     if not det.clean or det.period != p:
         raise PreconditionError(
             f"critical point is not cleanly period-{p} at t = 0 "
             f"(detected {det.period!r})")
-    orb = critical_orbit(f, p, tol_c=0.0, record=record)
-    chain = orb.products[p - 1] * j_periodic_sum(f, family_velocity(F, 0.0),
-                                                 p, record)
+    orb = critical_orbit(f, p)
+    chain = orb.products[p - 1] * j_periodic_sum(
+        f, family_velocity(F, 0.0), p)
     h = 1e-6
     g_hi = family_eval(F, h, check=False)
     g_lo = family_eval(F, -h, check=False)

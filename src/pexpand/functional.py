@@ -37,7 +37,6 @@ from .maps import (
     TOL_C,
     DirectionField,
     MapFamily,
-    OrbitRecord,
     PiecewiseMap,
     critical_orbit,
     detect_periodic_critical,
@@ -88,26 +87,22 @@ def _series_depth(f: PiecewiseMap, v: DirectionField,
     return n, sup_v * lam ** (-n) / (1.0 - 1.0 / lam)
 
 
-def _series(f: PiecewiseMap, v: DirectionField, n: int, tail: float,
-            record: OrbitRecord | None = None) -> tuple[float, float, int]:
+def _series(f: PiecewiseMap, v: DirectionField, n: int,
+            tail: float) -> tuple[float, float, int]:
     """(sum, tail, k): the first k = n terms v(x_i)/P_i on the raw orbit, or
-    k < n when x_k lands exactly on c, which ends the sum exactly (tail 0).
-    ``record`` is f's orbit record, shared with other readers of the orbit:
-    orbit prefixes do not depend on the depth, so the bits are the same."""
+    k < n when x_k lands exactly on c, which ends the sum exactly (tail 0)."""
     if n == 0:
         return 0.0, 0.0, 0
-    orb = critical_orbit(f, n, tol_c=0.0, record=record)
+    orb = critical_orbit(f, n)
     terms = [v.value(x) / p for x, p in zip(orb.points, orb.products)]
     return math.fsum(terms), tail if len(terms) == n else 0.0, len(terms)
 
 
-def j_periodic_sum(f: PiecewiseMap, v: DirectionField, p: int,
-                   record: OrbitRecord | None = None) -> float:
-    """Finite p-term value of J, the exact form when c has period p;
-    ``record`` as in _series."""
+def j_periodic_sum(f: PiecewiseMap, v: DirectionField, p: int) -> float:
+    """Finite p-term value of J, the exact form when c has period p."""
     if p < 1:
         raise PreconditionError("period must be >= 1")
-    return _series(f, v, p, 0.0, record)[0]
+    return _series(f, v, p, 0.0)[0]
 
 
 def j_series_sum(f: PiecewiseMap,
@@ -115,22 +110,6 @@ def j_series_sum(f: PiecewiseMap,
     """Truncated series value within J_TOL, with certified geometric tail
     bound."""
     return _series(f, v, *_series_depth(f, v, J_TOL))
-
-
-def j_pair(f: PiecewiseMap, v: DirectionField, w: DirectionField,
-           p: int | None = None,
-           record: OrbitRecord | None = None) -> tuple[float, float]:
-    """(J(f, v), J(f, w)) bit for bit as ``j_periodic_sum(f, ., p)`` gives
-    them, or ``j_series_sum(f, .)`` when p is None, on one orbit record;
-    ``record`` as in _series."""
-    if p is not None and p < 1:
-        raise PreconditionError("period must be >= 1")
-    (nv, tv), (nw, tw) = ((_series_depth(f, v, J_TOL),
-                           _series_depth(f, w, J_TOL))
-                          if p is None else ((p, 0.0), (p, 0.0)))
-    record = record or OrbitRecord(f)
-    return (_series(f, v, nv, tv, record)[0],
-            _series(f, w, nw, tw, record)[0])
 
 
 @dataclass(frozen=True)
@@ -159,9 +138,8 @@ class JResult:
 
 
 def j_functional(f: PiecewiseMap, v: DirectionField, tol: float = J_TOL,
-                 period_tol: float = PERIOD_TOL,
-                 record: OrbitRecord | None = None) -> JResult:
-    """Evaluate J(f, v) with certified truncation, on f's orbit ``record``.
+                 period_tol: float = PERIOD_TOL) -> JResult:
+    """Evaluate J(f, v) with certified truncation.
 
     The critical orbit is classified first; the truncation depth for the
     series route also caps the periodicity search, so an exact return to
@@ -171,20 +149,18 @@ def j_functional(f: PiecewiseMap, v: DirectionField, tol: float = J_TOL,
     n, tail = _series_depth(f, v, tol)
     if n == 0:
         return JResult(0.0, "series", 0, 0.0)
-    record = record or OrbitRecord(f)
-    det = detect_periodic_critical(f, p_max=max(P_MAX, n), tol=period_tol,
-                                   record=record)
+    det = detect_periodic_critical(f, p_max=max(P_MAX, n), tol=period_tol)
     if det.clean and det.period is not None:
-        return JResult(j_periodic_sum(f, v, det.period, record), "periodic",
+        return JResult(j_periodic_sum(f, v, det.period), "periodic",
                        det.period, 0.0, det.period)
-    series, tail, n = _series(f, v, n, tail, record)
+    series, tail, n = _series(f, v, n, tail)
     if det.clean:
         return JResult(series, "series", n, tail)
     q = min(q for q, _ in det.ambiguous)
     if det.period is not None:
         q = min(q, det.period)
     return JResult(None, "ambiguous", n, tail, q,
-                   (("periodic", j_periodic_sum(f, v, q, record)),
+                   (("periodic", j_periodic_sum(f, v, q)),
                     ("series", series)))
 
 
@@ -368,9 +344,10 @@ def param_phase_consistency(F: MapFamily, t0: float, k: int,
     f = family_eval(F, t0)
     v = observable if observable is not None else family_velocity(F, t0)
     orb = critical_orbit(f, k)
-    if len(orb.products) < k:
+    back = [i for i in range(1, k) if abs(orb.points[i]) < TOL_C]
+    if back:
         raise PreconditionError(
-            f"critical orbit returns to c at step {orb.truncated_at} < k={k}")
+            f"critical orbit returns to c at step {back[0]} < k={k}")
     p_top = orb.products[k - 1]
     deriv_t = math.fsum((p_top / orb.products[i]) * v.value(orb.points[i])
                         for i in range(k))

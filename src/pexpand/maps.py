@@ -10,11 +10,11 @@ Conventions used throughout the package:
   branch (Df > 1 on the left, Df < -1 on the right) and keep the
   critical value inside the interval (f(0) <= 1).
 * lambda_f denotes the certified lower bound for min |Df| over I.
-* Orbit symbols: L for points left of c, R for points right of c, C
-  for points inside the band |x| < tol_c.  Once an orbit point enters
-  the band the iteration continues from c exactly, so itineraries of
-  maps with a periodic critical point are genuinely periodic instead
-  of drifting on float noise.
+* Orbits are raw float orbits.  Symbols: L for points left of c, R for
+  points right of c, C for points inside the band |x| < TOL_C.  Once an
+  orbit point enters the band its symbols continue as c's, so
+  itineraries of maps with a periodic critical point are genuinely
+  periodic instead of drifting on float noise.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +66,7 @@ def _der(coeffs: tuple[float, ...], order: int) -> tuple[float, ...]:
     if order >= len(coeffs):
         return (coeffs[0] * 0,)
     for _ in range(order):
-        coeffs = tuple(j * coeffs[j] for j in range(1, len(coeffs)))
+        coeffs = tuple(map(mul, range(1, len(coeffs)), coeffs[1:]))
     return coeffs
 
 
@@ -173,7 +174,8 @@ class PiecewiseMap:
 
     Coefficients are ascending monomial coefficients.  ``k`` records the
     smoothness order the map is used at (branch polynomials are C^inf, so
-    k only drives norm choices downstream).
+    k only drives norm choices downstream).  Each instance keeps c's raw
+    orbit as its readers grow it (see ``critical_points``).
     """
 
     left: tuple[float, ...]
@@ -187,6 +189,11 @@ class PiecewiseMap:
         object.__setattr__(self, "right", _coeffs(self.right))
         object.__setattr__(self, "dleft", _der(self.left, 1))
         object.__setattr__(self, "dright", _der(self.right, 1))
+        # c's raw orbit so far, not a field (equality and hashing ignore it):
+        # f^i(c), and Df^i(f(c)) as critical_orbit extends them, never past
+        # an exact return to c.  Set here, not on first read: an attribute
+        # added later leaves the instances' shared attribute layout (slower)
+        object.__setattr__(self, "_orbit", ([0.0], [1.0]))
         if self.k < 1:
             raise ValueError("smoothness order k must be >= 1")
         if self.left[0] != self.right[0]:
@@ -195,6 +202,16 @@ class PiecewiseMap:
     @property
     def critical_value(self) -> float:
         return self.left[0]
+
+    def critical_points(self):
+        """f^0(c), f^1(c), ...: the stored points, then new ones as read."""
+        pts, value = self._orbit[0], self.value
+        i = 0
+        while True:
+            if i == len(pts):
+                pts.append(value(pts[-1]))
+            yield pts[i]
+            i += 1
 
     def value(self, x):
         """f(x) at a float, or elementwise at an ndarray of points."""
@@ -290,23 +307,29 @@ def _certified_range(dc: tuple[float, ...], lo: float, hi: float):
     return v_min, v_max, x_min, x_max
 
 
-@lru_cache(maxsize=4096)
 def validate(f: PiecewiseMap) -> ValidationReport:
     """Check boundary fixing, branch expansion, and critical-value bounds.
 
     Failures are report entries, never exceptions.  On pass, ``lambda_f``
-    is the certified lower bound for min |Df|.
+    is the certified lower bound for min |Df|; otherwise it is None.
     """
+    return _validate(f.left, f.right)
+
+
+@lru_cache(maxsize=4096)
+def _validate(left: tuple[float, ...],
+              right: tuple[float, ...]) -> ValidationReport:
+    """validate's report, cached on the branches so no map is kept alive."""
     checks = []
 
-    fm1, fp1 = f.value(-1.0), f.value(1.0)
+    fm1, fp1 = float(_pval(left, -1.0)), float(_pval(right, 1.0))
     ok = abs(fm1 + 1.0) <= ENDPOINT_TOL and abs(fp1 + 1.0) <= ENDPOINT_TOL
     checks.append(ValidationCheck(
         "boundary_fixed", ok, "f(-1)={!r}, f(1)={!r}", (fm1, fp1),
         None if ok else (-1.0 if abs(fm1 + 1) > ENDPOINT_TOL else 1.0)))
 
-    lo_l, _hi_l, w_l, _ = _certified_range(f.dleft, -1.0, 0.0)
-    _lo_r, hi_r, _, w_r = _certified_range(f.dright, 0.0, 1.0)
+    lo_l, _hi_l, w_l, _ = _certified_range(_der(left, 1), -1.0, 0.0)
+    _lo_r, hi_r, _, w_r = _certified_range(_der(right, 1), 0.0, 1.0)
     ok_l = lo_l > 1.0
     checks.append(ValidationCheck(
         "expansion_left", ok_l, "certified min Df on [-1,0] = {!r}", (lo_l,),
@@ -317,13 +340,13 @@ def validate(f: PiecewiseMap) -> ValidationReport:
         "expansion_right", ok_r, "certified max Df on [0,1] = {!r}", (hi_r,),
         None if ok_r else w_r))
 
-    cv = f.critical_value
+    cv = left[0]
     ok_c = cv <= 1.0 + BOUNDARY_SLACK
     checks.append(ValidationCheck(
         "critical_value", ok_c, "f(0)={!r}", (cv,), None if ok_c else 0.0))
 
     passed = ok and ok_l and ok_r and ok_c
-    lam = min(lo_l, -hi_r) if (ok_l and ok_r) else None
+    lam = min(lo_l, -hi_r) if passed else None
     return ValidationReport(passed, tuple(checks), lam, cv)
 
 
@@ -343,44 +366,17 @@ def lambda_of(f: PiecewiseMap) -> float:
 # orbits and symbols
 
 
-def orbit(f: PiecewiseMap, x: float, tol_c: float = TOL_C):
-    """Yield x, f(x), f^2(x), ...; after a point in the band |y| < tol_c the
-    orbit continues from c exactly.  tol_c = 0 gives the raw float orbit."""
+def orbit(f: PiecewiseMap, x: float):
+    """Yield x, f(x), f^2(x), ... on the raw float orbit."""
     value = f.value
     while True:
         yield x
-        x = value(0.0 if abs(x) < tol_c else x)
+        x = value(x)
 
 
 def iterates(f: PiecewiseMap, n: int, x: float = 0.0) -> list[float]:
     """x, f(x), ..., f^n(x) on the raw float orbit (c's by default)."""
-    return list(islice(orbit(f, x, 0.0), n + 1))
-
-
-class OrbitRecord:
-    """c's raw (tol_c = 0) orbit under f, grown on demand: the classifiers
-    of f handed one as ``record`` all read this one orbit.
-
-    ``points[i]`` is f^i(c); ``products[i]`` is Df^i(f(c)), extended by
-    critical_orbit only as deep as asked and never past an exact return.
-    """
-
-    __slots__ = ("f", "points", "products")
-
-    def __init__(self, f: PiecewiseMap):
-        self.f = f
-        self.points = [0.0]
-        self.products = [1.0]
-
-    def __iter__(self):
-        """f^0(c), f^1(c), ...: the stored points, then new ones as read."""
-        pts, value = self.points, self.f.value
-        i = 0
-        while True:
-            if i == len(pts):
-                pts.append(value(pts[-1]))
-            yield pts[i]
-            i += 1
+    return list(islice(orbit(f, x), n + 1))
 
 
 @dataclass(frozen=True)
@@ -390,10 +386,9 @@ class CriticalOrbit:
     ``points[i]`` is f^i(c).  ``products[i]`` is Df^i(f(c)), the product of
     Df along points 1..i, so products[0] = 1 and the i-th series term of
     the horizontality functional is v(points[i]) / products[i].  When the
-    orbit re-enters the critical band at step t, or lands on c exactly
-    (with tol_c = 0 too), products stop at length t (a one-sided derivative
-    at c is never assigned) and ``truncated_at`` records t; later points
-    follow the snapped orbit.
+    orbit lands on c exactly at step t, products stop at length t (a
+    one-sided derivative at c is never assigned) and ``truncated_at``
+    records t; the orbit then repeats its first t points exactly.
     """
 
     points: tuple[float, ...]
@@ -401,20 +396,15 @@ class CriticalOrbit:
     truncated_at: int | None
 
 
-def critical_orbit(f: PiecewiseMap, n: int, tol_c: float = TOL_C,
-                   record: OrbitRecord | None = None) -> CriticalOrbit:
-    """c's orbit to depth n as ``orbit(f, 0.0, tol_c)`` gives it, read off
-    f's raw orbit ``record``.  Up to its first return x_k to the band (or
-    to c exactly) the snapped orbit is the raw one, and after x_k it
-    restarts at f(c), so with tol_c > 0 the raw points past x_k are never
-    computed."""
+def critical_orbit(f: PiecewiseMap, n: int) -> CriticalOrbit:
+    """c's raw orbit to depth n, with f's stored products extended up to
+    depth n or the first exact return to c."""
     if n < 1:
         raise PreconditionError("orbit depth must be >= 1")
-    record = record or OrbitRecord(f)
-    products = record.products
+    products = f._orbit[1]
     k = None
-    for i, x in enumerate(islice(record, 1, n + 1), 1):
-        if abs(x) < tol_c or x == 0.0:
+    for i, x in enumerate(islice(f.critical_points(), 1, n + 1), 1):
+        if x == 0.0:
             k = i
             break
         if i == len(products) and i < n:
@@ -423,40 +413,34 @@ def critical_orbit(f: PiecewiseMap, n: int, tol_c: float = TOL_C,
                 raise PreconditionError(
                     f"zero branch derivative at orbit point {x!r}")
             products.append(products[-1] * d)
-    if k is None or tol_c == 0.0:
-        points = tuple(islice(record, n + 1))
-    else:
-        points = ((0.0,) + tuple(record.points[1:k + 1]) * (n // k + 1)
-                  )[:n + 1]
-    return CriticalOrbit(points, tuple(products[:k or n]), k)
+    return CriticalOrbit(tuple(islice(f.critical_points(), n + 1)),
+                         tuple(products[:k or n]), k)
 
 
-def itinerary(f: PiecewiseMap, x: float, n: int) -> str:
-    """L/C/R symbols of the length-n orbit of x.
-
-    A point in the critical band |y| < TOL_C gets symbol C and the orbit
-    continues from c exactly (see module docstring).
-    """
-    if n < 1:
-        raise PreconditionError("itinerary depth must be >= 1")
-    return "".join("C" if abs(y) < TOL_C else "L" if y < 0.0 else "R"
-                   for y in islice(orbit(f, x), n))
-
-
-def kneading(f: PiecewiseMap, n: int,
-             record: OrbitRecord | None = None) -> str:
-    """``itinerary(f, 0.0, n)``, read off f's raw orbit ``record``: the
-    snapped orbit is the raw one up to its first band entry x_k, k >= 1,
-    and then restarts at f(c), so its symbols are the raw ones of [0, k)
-    repeated."""
+def kneading(f: PiecewiseMap, n: int) -> str:
+    """L/C/R symbols of c's length-n orbit: the raw symbols of [0, k)
+    repeated, x_k (k >= 1) being the first point in the band |x| < TOL_C."""
     if n < 1:
         raise PreconditionError("itinerary depth must be >= 1")
     word = "C"
-    for x in islice(record or OrbitRecord(f), 1, n):
+    for x in islice(f.critical_points(), 1, n):
         if abs(x) < TOL_C:
             break
         word += "L" if x < 0.0 else "R"
     return (word * (n // len(word) + 1))[:n]
+
+
+def itinerary(f: PiecewiseMap, x: float, n: int) -> str:
+    """L/C/R symbols of the length-n orbit of x: the raw ones up to its
+    first point in the band |y| < TOL_C, then c's (see module docstring)."""
+    if n < 1:
+        raise PreconditionError("itinerary depth must be >= 1")
+    word = ""
+    for y in islice(orbit(f, x), n):
+        if abs(y) < TOL_C:
+            return word + kneading(f, n - len(word))
+        word += "L" if y < 0.0 else "R"
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +459,8 @@ class PeriodDetection:
 
 
 def detect_periodic_critical(f: PiecewiseMap, p_max: int = P_MAX,
-                             tol: float = PERIOD_TOL,
-                             record: OrbitRecord | None = None,
-                             ) -> PeriodDetection:
-    """Smallest q <= p_max with |f^q(c) - c| < tol, on the raw float orbit
-    (f's orbit ``record``).
+                             tol: float = PERIOD_TOL) -> PeriodDetection:
+    """Smallest q <= p_max with |f^q(c) - c| < tol, on the raw float orbit.
 
     Returns residuals in the hysteresis band [tol, 10*tol) as ambiguity
     entries instead of silently classifying them; the two sides of the
@@ -489,7 +470,7 @@ def detect_periodic_critical(f: PiecewiseMap, p_max: int = P_MAX,
     if p_max < 2:
         raise PreconditionError("p_max must be >= 2")
     band = []
-    for q, x in enumerate(islice(record or OrbitRecord(f), 1, p_max + 1), 1):
+    for q, x in enumerate(islice(f.critical_points(), 1, p_max + 1), 1):
         r = abs(x)
         if r < tol:
             return PeriodDetection(q, r, tuple(band))
@@ -514,11 +495,9 @@ class CriticalRelationSet:
 
 
 def critical_relations(f: PiecewiseMap, depth: int = 8,
-                       tol: float = PERIOD_TOL,
-                       record: OrbitRecord | None = None,
-                       ) -> CriticalRelationSet:
+                       tol: float = PERIOD_TOL) -> CriticalRelationSet:
     """Index pairs (i, j), i < j <= depth, with f^i(c) and f^j(c) coincident
-    on the raw float orbit (f's orbit ``record``).
+    on the raw float orbit.
 
     A pair is canonical when it is not implied by an earlier kept pair
     (i0, j0), i.e. when i >= i0 and (j - i) divisible by (j0 - i0) fails.
@@ -526,7 +505,7 @@ def critical_relations(f: PiecewiseMap, depth: int = 8,
     """
     if depth < 2:
         raise PreconditionError("relation depth must be >= 2")
-    xs = tuple(islice(record or OrbitRecord(f), depth + 1))
+    xs = tuple(islice(f.critical_points(), depth + 1))
     hits, band = [], []
     for i in range(depth):
         for j in range(i + 1, depth + 1):
@@ -564,15 +543,14 @@ def is_good(f: PiecewiseMap) -> GoodnessResult:
     case; +inf sentinel otherwise.
     """
     require_valid(f)
-    record = OrbitRecord(f)
-    det = detect_periodic_critical(f, record=record)
+    det = detect_periodic_critical(f)
     if not det.clean:
         raise AmbiguousPeriodicityError(
             f"periodicity ambiguous in band [tol, 10*tol): {det.ambiguous}",
             det.ambiguous)
     if det.period is None:
         return GoodnessResult(True, math.inf, None)
-    orb = critical_orbit(f, det.period, tol_c=PERIOD_TOL, record=record)
+    orb = critical_orbit(f, det.period)
     mult = orb.products[det.period - 1]
     margin = abs(mult) * min(abs(f.df_plus), abs(f.df_minus)) - 2.0
     return GoodnessResult(margin > 0.0, margin, det.period)

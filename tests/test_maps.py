@@ -153,18 +153,28 @@ class TestCriticalOrbit:
         assert orb.products == (1.0, -2.0, -4.0, -8.0)
         assert orb.truncated_at is None
 
-    def test_golden_orbit_truncates_at_return(self):
-        orb = critical_orbit(golden_tent(), 5)
-        assert orb.truncated_at == 3
+    def test_golden_orbit_is_raw(self):
+        # f^3(c) misses c by an ulp: the orbit is not snapped and its
+        # products run on; only the kneading reads the band
+        f = golden_tent()
+        orb = critical_orbit(f, 5)
+        assert orb.truncated_at is None
         assert orb.points[1] == pytest.approx(U, abs=1e-15)
         assert orb.points[2] == pytest.approx(-U * U, abs=1e-15)
-        assert abs(orb.points[3]) < 1e-14
-        # products stop before a one-sided derivative at c would be needed
-        assert len(orb.products) == 3
+        assert 0.0 < abs(orb.points[3]) < 1e-14
+        assert len(orb.products) == 5
         assert orb.products[1] == pytest.approx(-A, abs=1e-14)
         assert orb.products[2] == pytest.approx(-A * A, abs=1e-13)
-        # snapped continuation follows the periodic critical orbit
-        assert orb.points[4] == pytest.approx(U, abs=1e-15)
+        assert kneading(f, 5) == "CRLCR"
+
+    def test_orbit_truncates_at_exact_return(self):
+        # the 1.0001 tent's raw orbit lands on 0.0 exactly at step 32
+        orb = critical_orbit(symmetric_tent(1.0001), 40)
+        assert orb.truncated_at == 32 and orb.points[32] == 0.0
+        # products stop before a one-sided derivative at c would be needed
+        assert len(orb.products) == 32
+        # past the return the orbit repeats c's exactly
+        assert orb.points[33:] == orb.points[1:9]
 
     def test_depth_one(self):
         orb = critical_orbit(full_tent(), 1)

@@ -3,7 +3,6 @@ itinerary uniqueness, table monotonicity, scan determinism."""
 
 import dataclasses
 import math
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -179,6 +178,8 @@ class TestExpansionCertificate:
         rep = mp.validate(f)
         assert {c.name for c in rep.failures()} == failed
         assert all(isinstance(c.detail, str) for c in rep.checks)
+        # a failed report certifies nothing, expansion checks passed or not
+        assert rep.lambda_f is None
 
 
 # dyadic coefficients k/8 make the boundary sums of drawn fields exact
@@ -375,7 +376,7 @@ class TestOrbitGrowth:
     @settings(deadline=None, max_examples=60)
     def test_derivative_products_expand(self, slope, n):
         f = mp.symmetric_tent(slope)
-        orb = mp.critical_orbit(f, n, tol_c=0.0)
+        orb = mp.critical_orbit(f, n)
         lam = mp.lambda_of(f)
         for i, prod in enumerate(orb.products):
             assert abs(prod) >= lam ** i * (1.0 - 1e-12)
@@ -417,13 +418,13 @@ def ref_alpha(f, v, x, n_max, tol_c=mp.TOL_C):
 class TestCurvedOrbits:
     """Orbit consumers against plain loops, bit for bit, on curved maps."""
 
-    @given(curved_maps, st.sampled_from([mp.TOL_C, 0.0]))
+    @given(curved_maps)
     @settings(deadline=None, max_examples=40)
-    def test_critical_orbit(self, f, tol_c):
-        orb = mp.critical_orbit(f, 40, tol_c)
-        points = ref_orbit(f, 0.0, 41, tol_c)
+    def test_critical_orbit(self, f):
+        orb = mp.critical_orbit(f, 40)
+        points = ref_orbit(f, 0.0, 41, 0.0)
         assert _hex(orb.points) == _hex(points)
-        assert _hex(orb.products) == _hex(ref_products(f, points, tol_c))
+        assert _hex(orb.products) == _hex(ref_products(f, points, 0.0))
 
     @given(curved_maps, points)
     @settings(deadline=None, max_examples=40)
@@ -470,21 +471,22 @@ class TestCurvedOrbits:
         assert abs(j.value - ref) <= j.tail_bound + 1e-11
 
 
-# The standalone loops that the orbit-record readers replaced, kept as the
-# reference: each one iterates its own orbit of c.
+# The standalone loops that the readers of a map's one orbit replaced, kept
+# as the reference: each one iterates its own orbit of c and applies the
+# critical band itself.
 
-def ref_kneading(f, n):
+def ref_symbols(f, x, n):
     return "".join("C" if abs(y) < mp.TOL_C else "L" if y < 0.0 else "R"
-                   for y in islice(mp.orbit(f, 0.0), n))
+                   for y in ref_orbit(f, x, n, mp.TOL_C))
 
 
-def ref_critical_orbit(f, n, tol_c):
-    points = tuple(islice(mp.orbit(f, 0.0, tol_c), n + 1))
+def ref_critical_orbit(f, n):
+    points = tuple(ref_orbit(f, 0.0, n + 1, 0.0))
     products = [1.0]
     truncated = None
     prod = 1.0
     for i, x in enumerate(points[1:], 1):
-        if abs(x) < tol_c or x == 0.0:
+        if x == 0.0:
             truncated = i
             break
         if i < n:
@@ -499,7 +501,7 @@ def ref_critical_orbit(f, n, tol_c):
 
 def ref_detect(f, p_max, tol):
     band = []
-    for q, x in enumerate(islice(mp.orbit(f, 0.0, 0.0), 1, p_max + 1), 1):
+    for q, x in enumerate(ref_orbit(f, 0.0, p_max + 1, 0.0)[1:], 1):
         r = abs(x)
         if r < tol:
             return mp.PeriodDetection(q, r, tuple(band))
@@ -509,7 +511,7 @@ def ref_detect(f, p_max, tol):
 
 
 def ref_relations(f, depth, tol):
-    xs = mp.iterates(f, depth)
+    xs = ref_orbit(f, 0.0, depth + 1, 0.0)
     hits, band = [], []
     for i in range(depth):
         for j in range(i + 1, depth + 1):
@@ -532,7 +534,7 @@ def ref_relations(f, depth, tol):
 def ref_series(f, v, n, tail):
     if n == 0:
         return 0.0, 0.0, 0
-    orb = ref_critical_orbit(f, n, 0.0)
+    orb = ref_critical_orbit(f, n)
     terms = [v.value(x) / p for x, p in zip(orb.points[:n], orb.products[:n])]
     return math.fsum(terms), tail if len(terms) == n else 0.0, len(terms)
 
@@ -576,23 +578,47 @@ def _read(make):
 READERS = ("kneading", "critical_orbit", "detect", "relations", "j")
 
 
-def _readers(f, v, n, tol_c, record):
-    """Each record reader at depth n on record, and its reference loop."""
+def _j_depth(f, v):
+    """The deepest orbit index j_functional reads: its series depth, and at
+    least P_MAX for the period search; 0 when it refuses the depth."""
+    try:
+        return max(mp.P_MAX, fn._series_depth(f, v, fn.J_TOL)[0])
+    except mp.PreconditionError:
+        return 0
+
+
+def _readers(f, v, n):
+    """Each orbit reader at depth n on f, its reference loop, and the
+    deepest orbit index it reads."""
     m = max(2, n)
     return {
-        "kneading": (lambda: mp.kneading(f, n, record),
-                     lambda: ref_kneading(f, n)),
-        "critical_orbit": (lambda: mp.critical_orbit(f, n, tol_c, record),
-                           lambda: ref_critical_orbit(f, n, tol_c)),
-        "detect": (lambda: mp.detect_periodic_critical(
-                       f, m, mp.PERIOD_TOL, record),
-                   lambda: ref_detect(f, m, mp.PERIOD_TOL)),
-        "relations": (lambda: mp.critical_relations(
-                          f, m, mp.PERIOD_TOL, record),
-                      lambda: ref_relations(f, m, mp.PERIOD_TOL)),
-        "j": (lambda: fn.j_functional(f, v, record=record),
-              lambda: ref_j(f, v)),
+        "kneading": (lambda: mp.kneading(f, n),
+                     lambda: ref_symbols(f, 0.0, n), n - 1),
+        "critical_orbit": (lambda: mp.critical_orbit(f, n),
+                           lambda: ref_critical_orbit(f, n), n),
+        "detect": (lambda: mp.detect_periodic_critical(f, m, mp.PERIOD_TOL),
+                   lambda: ref_detect(f, m, mp.PERIOD_TOL), m),
+        "relations": (lambda: mp.critical_relations(f, m, mp.PERIOD_TOL),
+                      lambda: ref_relations(f, m, mp.PERIOD_TOL), m),
+        "j": (lambda: fn.j_functional(f, v), lambda: ref_j(f, v),
+              _j_depth(f, v)),
     }
+
+
+def _check_reads(f, v, reads):
+    """Each (name, n) reader on f's one orbit against its reference; f's
+    stored orbit never holds more points than the deepest read asked for."""
+    deepest = 0
+    for name, n in reads:
+        read, ref, depth = _readers(f, v, n)[name]
+        assert _read(read) == _read(ref), (name, n)
+        deepest = max(deepest, depth)
+        assert len(f._orbit[0]) <= deepest + 1, (name, n)
+
+
+def _fresh(f):
+    """f as a new instance: its own orbit, grown by nothing yet."""
+    return mp.PiecewiseMap(f.left, f.right, f.k)
 
 
 def _period_tent(p: int, lo: float, hi: float) -> mp.PiecewiseMap:
@@ -618,42 +644,59 @@ BAND_ENTRIES = [
     (TENT, None),                  # c -> 1 -> -1 -> -1 ...: never returns
     (mp.symmetric_tent(1.0 + 5e-11), 1),         # f(c) = 5e-11
 ]
+BAND_IDS = ["golden", "period-5", "f4-base", "full-tent", "k-1"]
 
 
 class TestOrbitRecordReaders:
-    """Readers sharing one orbit record against the standalone loops they
-    replaced: strings equal, floats and errors bit for bit, read in any
-    order and at any depth."""
+    """Readers sharing one map's stored orbit against the standalone loops
+    they replaced: strings equal, floats and errors bit for bit, read in
+    any order and at any depth."""
 
     @given(curved_maps, fields, st.integers(1, 70),
-           st.sampled_from([mp.TOL_C, mp.PERIOD_TOL, 0.0]),
            st.permutations(READERS))
     @settings(deadline=None, max_examples=40)
-    def test_readers_share_one_record(self, f, v, n, tol_c, order):
-        record = mp.OrbitRecord(f)
-        pairs = _readers(f, v, n, tol_c, record)
-        for name in order:
-            read, ref = pairs[name]
-            assert _read(read) == _read(ref), name
+    def test_readers_share_one_record(self, f, v, n, order):
+        _check_reads(_fresh(f), v, [(name, n) for name in order])
 
-    @pytest.mark.parametrize("f, k", BAND_ENTRIES,
-                             ids=["golden", "period-5", "f4-base",
-                                  "full-tent", "k-1"])
+    @pytest.mark.parametrize("f, k", BAND_ENTRIES, ids=BAND_IDS)
     def test_band_entry_at_k(self, f, k):
-        xs = mp.iterates(f, 64)
+        xs = ref_orbit(f, 0.0, 65, 0.0)
         assert k == next((i for i in range(1, 65)
                           if abs(xs[i]) < mp.TOL_C), None)
         depths = sorted({1, 2, 3, 30, 64} | (
             {k - 1, k, k + 1, 2 * k, 2 * k + 1} - {0} if k else set()))
         v = mp.bump_field()
-        # one record read shallow to deep, one deep to shallow
+        # one map read shallow to deep, one deep to shallow
         for order in (depths, depths[::-1]):
-            record = mp.OrbitRecord(f)
-            for n in order:
-                for tol_c in (mp.TOL_C, mp.PERIOD_TOL, 0.0):
-                    for read, ref in _readers(f, v, n, tol_c,
-                                              record).values():
-                        assert _read(read) == _read(ref), (n, tol_c)
+            _check_reads(_fresh(f), v,
+                         [(name, n) for n in order for name in READERS])
+
+    @pytest.mark.parametrize("f, k", BAND_ENTRIES, ids=BAND_IDS)
+    def test_itinerary_enters_band_at_k(self, f, k):
+        # x = f^j(c) enters the band at index k - j: raw symbols before it,
+        # c's symbols from there on (index 0 when j = k)
+        xs = ref_orbit(f, 0.0, 65, 0.0)
+        for j in range(1, (k or 3) + 1):
+            if k:
+                assert ref_symbols(f, xs[j], 64)[k - j] == "C"
+            for n in sorted({1, 2, 8, 30, 64} | (
+                    {k - j, k - j + 1, k - j + 2} - {0} if k else set())):
+                assert mp.itinerary(f, xs[j], n) == ref_symbols(f, xs[j], n)
+        if f is GOLDEN:
+            assert mp.itinerary(f, xs[1], 8) == "RLCRLCRL"
+
+    @pytest.mark.parametrize("f, k", BAND_ENTRIES, ids=BAND_IDS)
+    def test_period_products_as_snapped(self, f, k):
+        # a period p found within PERIOD_TOL has no earlier exact return,
+        # so the raw products to depth p are the ones that stop at the
+        # first point of the band |x| < PERIOD_TOL
+        p = mp.detect_periodic_critical(f).period
+        if p is None:
+            return
+        xs = ref_orbit(f, 0.0, p + 1, mp.PERIOD_TOL)
+        want = ref_products(f, xs, mp.PERIOD_TOL)
+        assert len(want) == p
+        assert _hex(mp.critical_orbit(_fresh(f), p).products) == _hex(want)
 
 
 class TestVelocityMemo:

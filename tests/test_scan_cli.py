@@ -1,5 +1,6 @@
 """Grid scans, transition localization, workflows, and the CLI contract."""
 
+import hashlib
 import json
 import math
 
@@ -303,6 +304,20 @@ class TestCli:
         rep = json.loads((tmp_path / "o" / "validation.json").read_text())
         assert rep["valid"] is False
 
+    def test_failed_validation_writes_no_lambda(self, tmp_path):
+        # both branches expand (|Df| >= 6.7e299), only the boundary fails
+        cfg = _write_cfg(tmp_path / "c.json", {"map": {
+            "left": [0.0, 1e300, -1e300, 1e300],
+            "right": [0.0, -1e300, 1e300, -1e300]}})
+        assert cli.main(["validate", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        text = (tmp_path / "o" / "validation.json").read_text()
+        assert '"lambda": null' in text
+        rep = json.loads(text)
+        assert rep["valid"] is False and [c["name"] for c in rep["checks"]
+                                          if not c["passed"]] == [
+            "boundary_fixed"]
+
     def test_scan_deterministic_bytes(self, tmp_path):
         cfg = _write_cfg(tmp_path / "c.json", {
             "family": {"base": "golden_tent",
@@ -391,6 +406,12 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 0
         out = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert out["max_relation_residual"] is None
+        # no period: every slope is a pair of truncated series
+        assert _digests(tmp_path / "o") == {
+            "summary.json": "5ce31f4868350c973c9089f174d25c91"
+                            "b5825dc42ef0c32b9e044d9d79bf609a",
+            "trace.csv": "2b9524c0d82404c4712f150b4b3fafcc"
+                         "4e761ec308ba5785c8170ebc62827433"}
 
     def test_alpha_grid_below_two_exits_1(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "c.json",
@@ -627,3 +648,45 @@ def test_continue_refuses_lower_period_at_centre(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 1
     assert "has prime period 3 < 6" in capsys.readouterr().err
     assert not (tmp_path / "o" / "continuation.csv").exists()
+
+
+def _digests(out) -> dict:
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.iterdir())}
+
+
+# SHA-256 of every file a command emits.  A change to the orbit readers, the
+# J sums, the kernel ODE or the localization that moves one bit fails here.
+_PINNED = [
+    # 10 transitions: 8 localized by Newton, 2 (one a relation change) by
+    # bisection
+    ("scan", {"family": {"base": "golden_tent", "terms": [{"field": "bump"}]},
+              "grid": {"n": 11}},
+     {"records.csv": "1a6aa6917e83a68b2d2255ddeb5ad708"
+                     "fa586e45663053af659b6bf85a798d0a",
+      "summary.json": "300a7f9cc5ed9e45d86566ed0fd38015"
+                      "f84d288fc88632ca93d2329029ae38d3"}),
+    # period 3 kept: every slope is a matched periodic pair
+    ("deform", {"family": _ODD_FAMILY, "w": "bump"},
+     {"summary.json": "d28996cf474cc5d0eeebf56ac9989ccd"
+                      "d1e87391d2e3bb86313b5191d1ba51d4",
+      "trace.csv": "0a0185b59ca0a65683f296e3ac1caac8"
+                   "d776bb0cb531daa0861062d66560cd05"}),
+    ("continue", {"family": _ODD_FAMILY, "w": "bump", "period": 3},
+     {"continuation.csv": "202fae013b66dcf4562c9aff17457210"
+                          "57052d68ffa3185cc4f37fc8d9988f37",
+      "summary.json": "778d140f5b4fa60d7bb57448d4e87850"
+                      "55f5d91b00f1f7f45e6fc841e08b1955"}),
+]
+
+
+@pytest.mark.parametrize("cmd, payload, digests", _PINNED,
+                         ids=[p[0] for p in _PINNED])
+def test_emitted_bytes_pinned(tmp_path, cmd, payload, digests):
+    cfg = _write_cfg(tmp_path / "c.json", payload)
+    assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert _digests(tmp_path / "o") == digests
+    if cmd == "scan":
+        summ = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert {tr["method"] for tr in summ["transitions"]} == {
+            "newton", "bisection"}

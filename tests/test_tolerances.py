@@ -28,9 +28,6 @@ def test_tolerance_order():
     #   `elif r < HYSTERESIS * tol:` -- the ambiguity band [tol, 10 tol)
     #   is not empty
     assert mp.HYSTERESIS > 1.0
-    # maps.is_good: `critical_orbit(f, det.period, tol_c=PERIOD_TOL)` --
-    #   the products' snap band is at least the critical band
-    assert mp.TOL_C < mp.PERIOD_TOL
     # deform.slope_field: `if manifold_res < band:` -- a map the detector
     #   would call period p or ambiguous at p gets the matched p-term pair
     assert mp.HYSTERESIS * mp.PERIOD_TOL < df.MANIFOLD_BAND
