@@ -188,8 +188,6 @@ def _cmd_cor52(cfg, out, args):
         with _io.reading("periods"):
             kwargs["periods"] = tuple(_io.number(p, int, "periods")
                                       for p in cfg["periods"])
-    if args.grid is not None:
-        kwargs["grid_n"] = args.grid
     ladder = _scan.continuation_ladder(fam, w, **kwargs)
     _io.emit_ladder(ladder, out)
 

@@ -253,7 +253,6 @@ def emit_ladder(ladder: ApproximationLadder, out_dir) -> tuple[Path, Path]:
         "decreasing": ladder.decreasing,
         "partial": ladder.partial,
         "base_period": ladder.base_period,
-        "grid_n": ladder.grid_n,
         "distances": [r.distance for r in ladder.rungs],
     })
     return csv, summary

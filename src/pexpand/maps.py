@@ -248,11 +248,6 @@ class PiecewiseMap:
         return PiecewiseMap(_axpy(self.left, s, direction.left),
                             _axpy(self.right, s, direction.right), self.k)
 
-    def difference(self, other: "PiecewiseMap") -> "DirectionField":
-        """self - other as a (relaxed) direction field, for norm arithmetic."""
-        return DirectionField(_axpy(self.left, -1.0, other.left),
-                              _axpy(self.right, -1.0, other.right), True)
-
 
 def interval_image(f: PiecewiseMap, lo: float, hi: float) -> tuple[float, float]:
     """Image of [lo, hi] under f, exact for the monotone-branch structure."""
@@ -657,26 +652,21 @@ class DirectionField:
         """v(x) at a float, or elementwise at an ndarray of points."""
         return _on_branches(self.left, self.right, x)
 
+    def c_norm(self, order: int) -> float:
+        """The C^order norm, max over m <= order of sup |D^m v| over I, each
+        sup exact: taken at the branch ends and D^m v's stationary points."""
+        return float(max(abs(_pval(d, x)) for c, lo, hi in (
+            (self.left, -1.0, 0.0), (self.right, 0.0, 1.0))
+            for d in (_der(c, m) for m in range(order + 1))
+            for x in (lo, hi, *_stationary(d, lo, hi))))
+
     @cached_property
     def _sup(self) -> float:
-        return float(max(abs(_pval(c, x)) for c, lo, hi in (
-            (self.left, -1.0, 0.0), (self.right, 0.0, 1.0))
-            for x in (lo, hi, *_stationary(c, lo, hi))))
+        return self.c_norm(0)
 
     def sup_norm(self) -> float:
-        """Exact sup |v| over I via branch stationary points, computed once."""
+        """Exact sup |v| over I (``c_norm(0)``), computed once."""
         return self._sup
-
-    def grid_norm(self, order_max: int, n: int = 2048) -> float:
-        """max over branches and derivative orders 0..order_max of grid sups."""
-        best = 0.0
-        xs_l = np.linspace(-1.0, 0.0, n)
-        xs_r = np.linspace(0.0, 1.0, n)
-        for m in range(order_max + 1):
-            best = max(best,
-                       float(np.max(np.abs(_pval(_der(self.left, m), xs_l)))),
-                       float(np.max(np.abs(_pval(_der(self.right, m), xs_r)))))
-        return best
 
     def scale(self, s: float) -> "DirectionField":
         return DirectionField(tuple(s * c for c in self.left),

@@ -11,7 +11,7 @@ from .deform import (DeformationTrace, PeriodicContinuation,
                      integrate_deformation)
 from .errors import (InternalConsistencyError, NewtonDivergenceError,
                      PreconditionError)
-from .functional import default_tol_w, grid_size, j_functional
+from .functional import default_tol_w, j_functional
 from .maps import (KNEADING_DEPTH, PERIOD_TOL, DirectionField, FamilyTerm,
                    MapFamily, PiecewiseMap, aux_dictionary,
                    critical_relations, detect_periodic_critical, family_eval,
@@ -20,7 +20,6 @@ from .maps import (KNEADING_DEPTH, PERIOD_TOL, DirectionField, FamilyTerm,
 RELATION_DEPTH = 8
 J_ZERO_TOL = 1e-7        # |J| below this floor counts as "vanishes"
 TRANSITION_WIDTH = 1e-8
-NORM_GRID = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -373,38 +372,31 @@ class ApproximationLadder:
     decreasing: bool
     partial: bool
     base_period: int | None
-    grid_n: int
 
 
 def _sup_distance(trace: DeformationTrace, cont: PeriodicContinuation,
-                  grid_n: int) -> float:
-    ref = {n.t: trace.map_at(n.t) for n in trace.nodes}
-    worst = 0.0
-    shared = 0
-    for t in cont.ts:
-        f_ref = ref.get(t)
-        if f_ref is None:
-            continue
-        shared += 1
-        delta = cont.map_at(t).difference(f_ref)
-        worst = max(worst, delta.grid_norm(f_ref.k - 1, grid_n))
-    if shared < 2:
+                  w_norm: float) -> float:
+    b = {n.t: n.b for n in trace.nodes}
+    gaps = [abs(n.theta - b[n.t]) for n in cont.nodes if n.t in b]
+    if len(gaps) < 2:
         raise InternalConsistencyError(
             "continuation and reference trace share fewer than 2 nodes")
-    return worst
+    return max(gaps) * w_norm
 
 
 def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
-                        periods: tuple[int, ...] = (7, 8, 9, 10),
-                        grid_n: int = NORM_GRID) -> ApproximationLadder:
+                        periods: tuple[int, ...] = (7, 8, 9, 10)
+                        ) -> ApproximationLadder:
     """Periodic-critical families closing in on an in-class family.
 
     The family must show no transition on a 41-node scan of its domain.
     For each requested period p (all >= 2), a root theta_p of g^p(c) = c
     is hunted from 12 log-spaced seed magnitudes in [1e-4, 0.08] on both
     sides of 0 and continued in t, in 10 fixed steps per side, alongside
-    the reference deformation; the rung distance is the sup over shared
-    nodes of the grid norm of g_t - f_t through derivative order k-1.  If
+    the reference deformation f~_t = f_t + b(t) w.  A rung g_t = f_t +
+    theta(t) w differs from it by exactly (theta(t) - b(t)) w, so its
+    distance is max |theta - b| over shared nodes times the exact
+    C^{k-1} norm of w (``DirectionField.c_norm``).  If
     the base critical point is already periodic the ladder is the single
     trivial rung theta = 0 at distance 0, which is complete as it stands;
     otherwise fewer than 2 roots marks the result partial, not failed.
@@ -415,7 +407,6 @@ def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
     if any(p < 2 for p in periods):
         raise PreconditionError(
             f"ladder periods must be >= 2, got {list(periods)}")
-    grid_size(grid_n)
     sweep = run_scan(F, np.linspace(lo, hi, 41), localize=False)
     if sweep.transitions:
         raise PreconditionError(
@@ -426,13 +417,14 @@ def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
         w = auto_transversal(base)
     h = max(abs(lo), hi) / 10
     trace = integrate_deformation(F, w, h0=h, adaptive=False)
+    w_norm = w.c_norm(F.base.k - 1)
 
     rungs = []
     det = detect_periodic_critical(base)
     if det.period is not None:
         cont = continue_periodic(F, w, det.period, 0.0, h=h)
         rungs.append(LadderRung(det.period, 0.0, cont,
-                                _sup_distance(trace, cont, grid_n)))
+                                _sup_distance(trace, cont, w_norm)))
     else:
         prev = None
         for p in periods:
@@ -453,10 +445,9 @@ def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
                 continue
             cont = continue_periodic(F, w, p, root.theta, h=h)
             rungs.append(LadderRung(p, root.theta, cont,
-                                    _sup_distance(trace, cont, grid_n)))
+                                    _sup_distance(trace, cont, w_norm)))
             prev = root.theta
     dists = [r.distance for r in rungs]
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
     partial = det.period is None and len(rungs) < 2
-    return ApproximationLadder(tuple(rungs), decreasing, partial,
-                               det.period, grid_n)
+    return ApproximationLadder(tuple(rungs), decreasing, partial, det.period)

@@ -40,6 +40,8 @@ from pexpand.maps import (
     interval_image,
 )
 
+import oracles
+
 A = GOLDEN_RATIO
 U = A - 1.0  # critical value of the golden tent, u = a - 1
 
@@ -363,10 +365,26 @@ class TestDirectionField:
             ["0x1.0000000000000p+0", "0x1.8a2345cc04426p-2",
              "0x1.0000000000000p-2"]
 
-    def test_grid_norm_orders(self):
-        v = bump_field()
-        # order 1 derivative -2x has sup 2, dominating the order-0 sup
-        assert v.grid_norm(1) == pytest.approx(2.0, abs=1e-10)
+    def test_c_norm_closed_forms(self):
+        # bump's D1 = -2x peaks at the ends; order 0 is sup_norm's bits;
+        # odd's D2 = -6x peaks at the ends
+        assert bump_field().c_norm(1) == 2.0
+        assert odd_field().c_norm(0).hex() == "0x1.8a2345cc04426p-2"
+        assert odd_field().c_norm(2) == 6.0
+
+    def test_c_norm_interior_peak(self):
+        # an even quintic field whose D1 peaks near x = +-0.3576, off every
+        # node of a 2048-point grid, above sup |v| = 0.9 and the end values
+        right = (-0.9, 0.5, 2.5, -2.5, 0.0, 0.4)
+        v = DirectionField(tuple(c * (-1) ** i for i, c in enumerate(right)),
+                           right)
+        exact = max(abs(x) for x in oracles.mp_deriv_range(right, 0.0, 1.0))
+        got = v.c_norm(1)
+        assert v.sup_norm() < 1.0 < got
+        assert abs(got - exact) <= 4 * math.ulp(got)
+        xs = np.linspace(0.0, 1.0, 2048)
+        grid = float(np.max(np.abs(np.polyval(np.polyder(right[::-1]), xs))))
+        assert grid < got
 
     def test_scale_add(self):
         v = bump_field().scale(2.0).add(odd_field())

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from pexpand import cli
 from pexpand import deform as df
@@ -270,6 +271,23 @@ class TestContinuationLadder:
         assert thetas == sorted(thetas)  # negative, shrinking magnitude
         dists = [r.distance for r in lad.rungs]
         assert all(b < a for a, b in zip(dists, dists[1:]))
+        # each distance is, to rounding, the grid sup of D^m (m <= k - 1)
+        # of the assembled g_t - f~_t over the shared nodes: bump's sups
+        # sit at the branch ends, which the grid holds
+        w = lad.rungs[0].continuation.w
+        trace = df.integrate_deformation(tent_family, w, h0=0.002,
+                                         adaptive=False)
+        halves = (np.linspace(-1.0, 0.0, 2048), np.linspace(0.0, 1.0, 2048))
+        for r in lad.rungs:
+            grid = 0.0
+            for t in set(r.continuation.ts) & set(trace.ts):
+                g, f = r.continuation.map_at(t), trace.map_at(t)
+                for xs, gc, fc in zip(halves, (g.left, g.right),
+                                      (f.left, f.right)):
+                    delta = P.polysub(gc, fc)
+                    grid = max(grid, *(np.max(np.abs(P.polyval(
+                        xs, P.polyder(delta, m)))) for m in range(3)))
+            assert r.distance == pytest.approx(grid, rel=1e-12)
 
     def test_periodic_base_trivial_rung(self, golden):
         fam = mp.MapFamily(golden, (), domain=(-0.02, 0.02))
@@ -534,14 +552,6 @@ class TestCli:
             assert tr["evaluations"] >= {"newton": 3, "bisection": 1}[
                 tr["method"]]
 
-    def test_cor52_grid_below_two_exits_1(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path / "c.json", {
-            "family": {"base": "golden_tent", "terms": [{"field": "bump"}]}})
-        for n in ("0", "1"):
-            assert cli.main(["cor52", "--config", cfg, "--grid", n,
-                             "--out", str(tmp_path / "o")]) == 1
-            assert "at least 2 points" in capsys.readouterr().err
-
 
 _FAMILY = {"base": "golden_tent", "terms": [{"field": "bump"}]}
 _ODD_FAMILY = {"base": "golden_tent", "terms": [{"field": "odd"}]}
@@ -677,6 +687,13 @@ _PINNED = [
                           "57052d68ffa3185cc4f37fc8d9988f37",
       "summary.json": "778d140f5b4fa60d7bb57448d4e87850"
                       "55f5d91b00f1f7f45e6fc841e08b1955"}),
+    # ladder.csv as under the 2048-point grid norm it replaced
+    ("cor52", {"family": {"base": "full_tent", "terms": [{"field": "odd"}]},
+               "w": "bump"},
+     {"ladder.csv": "69ca89bab928f0f568634cd8dda979b7"
+                    "2f064498155217dc4e8e57cc7b9eefae",
+      "summary.json": "87a8deb68de670c4d1fe156810fdc210"
+                      "812994603b947cb0078386577c5a43f5"}),
 ]
 
 

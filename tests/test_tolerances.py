@@ -11,10 +11,17 @@ PERIOD_TOL (1e-9), while the kneading's critical band is TOL_C (1e-10).
 the integrator accepted.  ``test_f4_accepted_trace_keeps_its_kneading``
 reproduces it as a strict xfail: it fails with KneadingDriftError while
 F4 is open, and fails as an unexpected pass once F4 is mended.
+
+The same gap shows in the functional layer: J calls c periodic once
+|f^p(c)| < PERIOD_TOL, while alpha stops an orbit only within TOL_C.
+``test_alpha_gap_map_evaluates`` is its strict xfail.
 """
+
+import json
 
 import pytest
 
+from pexpand import cli
 from pexpand import conjugacy as cj
 from pexpand import deform as df
 from pexpand import functional as fn
@@ -83,3 +90,21 @@ def test_f4_accepted_trace_keeps_its_kneading():
     assert mp.TOL_C < worst < mp.PERIOD_TOL
     # raises KneadingDriftError at t = -0.00768: CRLLRRLL... vs CRLLCRLL...
     df.build_tilde_family(F, w, trace)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the alpha gap: J is periodic within PERIOD_TOL, "
+                          "alpha stops its orbit only within TOL_C")
+def test_alpha_gap_map_evaluates(tmp_path, capsys):
+    # the golden slope rounded so that f^3(c) = 5.0e-10 lies in the gap
+    slope = 1.6180339883880914
+    if not mp.TOL_C < abs(mp.iterates(mp.symmetric_tent(slope), 3)[3]) \
+            < mp.PERIOD_TOL:
+        pytest.fail("the map no longer sits between TOL_C and PERIOD_TOL")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"map": {"slope": slope}, "field": "bump"}))
+    code = cli.main(["alpha", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+    # exits 2: "consistency failure: J=0.29179606686243426 disagrees with
+    # v(c)-alpha(f(c))=0.38196600658952196"
+    assert (code, capsys.readouterr().err) == (0, "")
