@@ -162,11 +162,7 @@ def _cmd_conjugacy(cfg, out, args):
 def _cmd_scan(cfg, out, args):
     fam = _io.parse_family(_io._require(cfg, "family"))
     grid = _grid_from(cfg, fam, args.grid)
-    kwargs = {}
-    if args.depth is not None:
-        kwargs["kneading_depth"] = args.depth
-    if args.tol is not None:
-        kwargs["period_tol"] = args.tol
+    kwargs = {} if args.depth is None else {"kneading_depth": args.depth}
     result = _scan.run_scan(fam, grid, **kwargs)
     _io.emit_scan(result, out)
 

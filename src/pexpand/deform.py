@@ -35,9 +35,7 @@ from .functional import (
     j_series_sum,
 )
 from .maps import (
-    HYSTERESIS,
     KNEADING_DEPTH,
-    PERIOD_TOL,
     DirectionField,
     MapFamily,
     PiecewiseMap,
@@ -405,18 +403,18 @@ def _newton(F: MapFamily, w: DirectionField, p: int, t: float, theta: float,
                                 f"at t={t!r} (residual {xs[p]!r})")
 
 
-def _require_prime_period(xs, p: int, theta: float) -> None:
-    """Refuse a root whose orbit c..g^p(c) returns to c before step p:
-    a return within PERIOD_TOL is a lower prime period, one in the
-    hysteresis band above it is ambiguous."""
-    for q in range(1, p):
-        rq = abs(xs[q])
-        if rq < PERIOD_TOL:
-            raise PreconditionError(
-                f"root at theta={theta!r} has prime period {q} < {p}")
-        if rq < HYSTERESIS * PERIOD_TOL:
-            raise AmbiguousPeriodicityError(
-                f"prime-period check ambiguous at q={q}", ((q, rq),))
+def _require_prime_period(g: PiecewiseMap, p: int, theta: float) -> None:
+    """Refuse a root g whose critical point returns to c before step p,
+    as ``detect_periodic_critical`` reads it: a return in the hysteresis
+    band is ambiguous, else one within TOL_C is a lower prime period."""
+    det = detect_periodic_critical(g, max(p, 2))
+    if det.ambiguous:
+        raise AmbiguousPeriodicityError(
+            f"prime-period check ambiguous at q={det.ambiguous[0][0]}",
+            det.ambiguous[:1])
+    if det.period < p:
+        raise PreconditionError(
+            f"root at theta={theta!r} has prime period {det.period} < {p}")
 
 
 def find_periodic_theta(F: MapFamily, w: DirectionField, p: int,
@@ -429,7 +427,7 @@ def find_periodic_theta(F: MapFamily, w: DirectionField, p: int,
     if p < 2:
         raise PreconditionError("period must be >= 2")
     theta, g, xs, it = _newton(F, w, p, t, theta0, 50)
-    _require_prime_period(xs, p, theta)
+    _require_prime_period(g, p, theta)
     margin = is_good(g).margin
     return ThetaRoot(theta, abs(xs[p]), it, p, margin, g)
 
@@ -504,16 +502,17 @@ def continue_periodic(F: MapFamily, w: DirectionField, p: int, theta0: float,
 
     def advance(t: float, prev: ContinuationNode, h: float, t_next: float):
         guess = prev.theta + h * prev.slope
-        theta, _, xs, iters = _newton(F, w, p, t_next, guess, 30)
-        _require_prime_period(xs, p, theta)
+        theta, g, xs, iters = _newton(F, w, p, t_next, guess, 30)
+        _require_prime_period(g, p, theta)
         node = ContinuationNode(t_next, theta, slope_at(t_next, theta),
                                 abs(xs[p]), iters)
         return node, node
 
-    xs = iterates(family_eval(F, 0.0, w=w, theta=theta0), p)
+    g = family_eval(F, 0.0, w=w, theta=theta0)
+    xs = iterates(g, p)
     if abs(xs[p]) > 10.0 * NEWTON_TOL:
-        theta0, _, xs, _ = _newton(F, w, p, 0.0, theta0, 30)
-    _require_prime_period(xs, p, theta0)
+        theta0, g, xs, _ = _newton(F, w, p, 0.0, theta0, 30)
+    _require_prime_period(g, p, theta0)
     res0 = abs(xs[p])
     center = ContinuationNode(0.0, theta0, slope_at(0.0, theta0), res0, 0)
     # the corrector keeps the step h: any failed node ends its side

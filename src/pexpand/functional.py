@@ -33,7 +33,6 @@ from .errors import (
 from .maps import (
     MAX_TERMS,
     P_MAX,
-    PERIOD_TOL,
     TOL_C,
     DirectionField,
     MapFamily,
@@ -137,8 +136,8 @@ class JResult:
         return self.value
 
 
-def j_functional(f: PiecewiseMap, v: DirectionField, tol: float = J_TOL,
-                 period_tol: float = PERIOD_TOL) -> JResult:
+def j_functional(f: PiecewiseMap, v: DirectionField,
+                 tol: float = J_TOL) -> JResult:
     """Evaluate J(f, v) with certified truncation.
 
     The critical orbit is classified first; the truncation depth for the
@@ -149,7 +148,7 @@ def j_functional(f: PiecewiseMap, v: DirectionField, tol: float = J_TOL,
     n, tail = _series_depth(f, v, tol)
     if n == 0:
         return JResult(0.0, "series", 0, 0.0)
-    det = detect_periodic_critical(f, p_max=max(P_MAX, n), tol=period_tol)
+    det = detect_periodic_critical(f, p_max=max(P_MAX, n))
     if det.clean and det.period is not None:
         return JResult(j_periodic_sum(f, v, det.period), "periodic",
                        det.period, 0.0, det.period)

@@ -10,11 +10,11 @@ Conventions used throughout the package:
   branch (Df > 1 on the left, Df < -1 on the right) and keep the
   critical value inside the interval (f(0) <= 1).
 * lambda_f denotes the certified lower bound for min |Df| over I.
-* Orbits are raw float orbits.  Symbols: L for points left of c, R for
-  points right of c, C for points inside the band |x| < TOL_C.  Once an
-  orbit point enters the band its symbols continue as c's, so
-  itineraries of maps with a periodic critical point are genuinely
-  periodic instead of drifting on float noise.
+* Orbits are raw float orbits.  One band, |x| < TOL_C, decides "returns
+  to c" in every layer.  Symbols: L left of c, R right of c, C inside
+  the band.  Once an orbit point enters the band its symbols continue as
+  c's, so itineraries of maps with a periodic critical point are
+  genuinely periodic instead of drifting on float noise.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from .errors import (
 )
 
 D_MAX = 16                # maximum branch polynomial degree
-TOL_C = 1e-10             # half-width of the critical band
-PERIOD_TOL = 1e-9         # default periodicity tolerance
-HYSTERESIS = 10.0         # ambiguity band is [tol, HYSTERESIS*tol)
+TOL_C = 1e-9              # half-width of the critical band
+HYSTERESIS = 10.0         # ambiguity band is [TOL_C, HYSTERESIS*TOL_C)
 BOUNDARY_SLACK = 1e-12    # allowed overshoot of f(0) above 1
 ENDPOINT_TOL = 1e-9       # float slack for the boundary fixing check
 P_MAX = 64                # deepest period the periodicity search tries
@@ -453,11 +452,11 @@ class PeriodDetection:
         return not self.ambiguous
 
 
-def detect_periodic_critical(f: PiecewiseMap, p_max: int = P_MAX,
-                             tol: float = PERIOD_TOL) -> PeriodDetection:
-    """Smallest q <= p_max with |f^q(c) - c| < tol, on the raw float orbit.
+def detect_periodic_critical(f: PiecewiseMap,
+                             p_max: int = P_MAX) -> PeriodDetection:
+    """Smallest q <= p_max with |f^q(c) - c| < TOL_C, on the raw float orbit.
 
-    Returns residuals in the hysteresis band [tol, 10*tol) as ambiguity
+    Returns residuals in the hysteresis band [TOL_C, 10*TOL_C) as ambiguity
     entries instead of silently classifying them; the two sides of the
     periodic manifold carry genuinely different functional values, so a
     near-band verdict must stay visible to callers.
@@ -467,9 +466,9 @@ def detect_periodic_critical(f: PiecewiseMap, p_max: int = P_MAX,
     band = []
     for q, x in enumerate(islice(f.critical_points(), 1, p_max + 1), 1):
         r = abs(x)
-        if r < tol:
+        if r < TOL_C:
             return PeriodDetection(q, r, tuple(band))
-        if r < HYSTERESIS * tol:
+        if r < HYSTERESIS * TOL_C:
             band.append((q, r))
     return PeriodDetection(None, None, tuple(band))
 
@@ -489,9 +488,8 @@ class CriticalRelationSet:
         return tuple(sorted(self.canonical + self.derived))
 
 
-def critical_relations(f: PiecewiseMap, depth: int = 8,
-                       tol: float = PERIOD_TOL) -> CriticalRelationSet:
-    """Index pairs (i, j), i < j <= depth, with f^i(c) and f^j(c) coincident
+def critical_relations(f: PiecewiseMap, depth: int = 8) -> CriticalRelationSet:
+    """Index pairs (i, j), i < j <= depth, with |f^i(c) - f^j(c)| < TOL_C
     on the raw float orbit.
 
     A pair is canonical when it is not implied by an earlier kept pair
@@ -505,9 +503,9 @@ def critical_relations(f: PiecewiseMap, depth: int = 8,
     for i in range(depth):
         for j in range(i + 1, depth + 1):
             r = abs(xs[i] - xs[j])
-            if r < tol:
+            if r < TOL_C:
                 hits.append((i, j))
-            elif r < HYSTERESIS * tol:
+            elif r < HYSTERESIS * TOL_C:
                 band.append((i, j))
     hits.sort(key=lambda ij: (ij[0], ij[1] - ij[0]))
     canonical, derived = [], []
@@ -534,14 +532,15 @@ class GoodnessResult:
 def is_good(f: PiecewiseMap) -> GoodnessResult:
     """Non-periodic critical point, or periodic with one-sided products > 2.
 
-    The period is detected to PERIOD_TOL, up to P_MAX.  margin = |Df^{p-1}(f(c))| * min(|Df+(c)|, |Df-(c)|) - 2 in the periodic
-    case; +inf sentinel otherwise.
+    The period is detected to TOL_C, up to P_MAX.  In the periodic case
+    margin = |Df^{p-1}(f(c))| * min(|Df+(c)|, |Df-(c)|) - 2; otherwise it
+    is the +inf sentinel.
     """
     require_valid(f)
     det = detect_periodic_critical(f)
     if not det.clean:
         raise AmbiguousPeriodicityError(
-            f"periodicity ambiguous in band [tol, 10*tol): {det.ambiguous}",
+            f"periodicity ambiguous in the hysteresis band: {det.ambiguous}",
             det.ambiguous)
     if det.period is None:
         return GoodnessResult(True, math.inf, None)

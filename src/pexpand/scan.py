@@ -12,10 +12,10 @@ from .deform import (DeformationTrace, PeriodicContinuation,
 from .errors import (InternalConsistencyError, NewtonDivergenceError,
                      PreconditionError)
 from .functional import default_tol_w, j_functional
-from .maps import (KNEADING_DEPTH, PERIOD_TOL, DirectionField, FamilyTerm,
-                   MapFamily, PiecewiseMap, aux_dictionary,
-                   critical_relations, detect_periodic_critical, family_eval,
-                   family_velocity, iterates, kneading)
+from .maps import (KNEADING_DEPTH, DirectionField, FamilyTerm, MapFamily,
+                   PiecewiseMap, aux_dictionary, critical_relations,
+                   detect_periodic_critical, family_eval, family_velocity,
+                   iterates, kneading)
 
 RELATION_DEPTH = 8
 J_ZERO_TOL = 1e-7        # |J| below this floor counts as "vanishes"
@@ -63,16 +63,16 @@ class ScanResult:
         return not self.transitions
 
 
-def _node(at, t: float, kneading_depth: int, relation_depth: int,
-          period_tol: float) -> ScanRecord:
+def _node(at, t: float, kneading_depth: int,
+          relation_depth: int) -> ScanRecord:
     """The record of the node t, whose map and velocity are ``at(t)``; every
     classifier reads the map's one orbit of c."""
     try:
         f, v = at(t)
         kn = kneading(f, kneading_depth)
-        rel = critical_relations(f, relation_depth, period_tol)
-        det = detect_periodic_critical(f, tol=period_tol)
-        j = j_functional(f, v, period_tol=period_tol)
+        rel = critical_relations(f, relation_depth)
+        det = detect_periodic_critical(f)
+        j = j_functional(f, v)
     except PreconditionError as exc:
         return ScanRecord(t, "", (), None, 0.0, (), "error",
                           (f"error:{type(exc).__name__}",))
@@ -95,11 +95,11 @@ def _node(at, t: float, kneading_depth: int, relation_depth: int,
 
 
 def _signature(F: MapFamily, t: float, kneading_depth: int,
-               relation_depth: int, period_tol: float):
+               relation_depth: int):
     try:  # only polynomial families are localized; the velocity is not needed
         f = family_eval(F, t)
         return (kneading(f, kneading_depth),
-                critical_relations(f, relation_depth, period_tol).relations)
+                critical_relations(f, relation_depth).relations)
     except PreconditionError:
         return None
 
@@ -220,8 +220,7 @@ def _changed(sig_a, sig_b) -> tuple[str, ...]:
 
 
 def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
-             relation_depth: int = RELATION_DEPTH,
-             period_tol: float = PERIOD_TOL, localize: bool = True,
+             relation_depth: int = RELATION_DEPTH, localize: bool = True,
              width: float = TRANSITION_WIDTH) -> ScanResult:
     """Per-node diagnostics over a grid, with class-transition localization.
 
@@ -280,10 +279,9 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
     if not grid:
         return ScanResult((), (), None, J_ZERO_TOL, True)
 
-    records = [_node(at, t, kneading_depth, relation_depth, period_tol)
-               for t in grid]
+    records = [_node(at, t, kneading_depth, relation_depth) for t in grid]
 
-    sig_args = (kneading_depth, relation_depth, period_tol)
+    sig_args = (kneading_depth, relation_depth)
     transitions = []
     for a, b in zip(records, records[1:]):
         if a.classification == "error" or b.classification == "error":

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pexpand import (
+    AmbiguousPeriodicityError,
     DegenerateDirectionError,
     FamilyTerm,
     InvalidMapError,
@@ -330,6 +331,13 @@ class TestFindPeriodicTheta:
     def test_prime_period_guard(self):
         with pytest.raises(PreconditionError):
             df.find_periodic_theta(transversal_family(), odd_field(), 6)
+
+    def test_prime_period_band_is_ambiguous(self):
+        # f^3(c) in [TOL_C, 10 TOL_C): the period-6 check reads the
+        # detector's hysteresis band and decides nothing
+        g = golden_tent().add_scaled(bump_field(), 5e-9 / 0.7639320225002103)
+        with pytest.raises(AmbiguousPeriodicityError, match="q=3"):
+            df._require_prime_period(g, 6, 0.0)
 
     @pytest.mark.parametrize("family, w, theta0, t, bits, iterations", [
         (MapFamily(symmetric_tent(1.6), (FamilyTerm(tent_profile_field()),)),

@@ -213,9 +213,8 @@ class TestItinerary:
 
 
 class TestPeriodDetection:
-    @pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-9, 1e-6])
-    def test_golden_period_3_stable_in_tol(self, tol):
-        det = detect_periodic_critical(golden_tent(), tol=tol)
+    def test_golden_period_3(self):
+        det = detect_periodic_critical(golden_tent())
         assert det.period == 3 and det.clean
 
     def test_full_tent_not_periodic(self):
@@ -224,7 +223,7 @@ class TestPeriodDetection:
 
     def test_perturbation_breaks_relation(self):
         f = golden_tent().add_scaled(bump_field(), 0.01)
-        det = detect_periodic_critical(f, p_max=20, tol=1e-9)
+        det = detect_periodic_critical(f, p_max=20)
         assert det.period is None
         # direct evaluation: f^3(c) - c is order of the perturbation
         x = 0.0
@@ -233,11 +232,11 @@ class TestPeriodDetection:
         assert 1e-3 < abs(x) < 1e-1
 
     def test_hysteresis_band_reported(self):
-        # place f^3(c) - c inside [tol, 10 tol): offset theta by the known
-        # transversal slope of about -0.764 per unit theta
+        # place f^3(c) - c inside [TOL_C, 10 TOL_C): offset theta by the
+        # known transversal slope of about -0.764 per unit theta
         theta = 5e-9 / 0.7639320225002103
         f = golden_tent().add_scaled(bump_field(), theta)
-        det = detect_periodic_critical(f, p_max=10, tol=1e-9)
+        det = detect_periodic_critical(f, p_max=10)
         assert not det.clean
         qs = [q for q, _ in det.ambiguous]
         assert 3 in qs

@@ -439,7 +439,7 @@ class TestCurvedOrbits:
     @settings(deadline=None, max_examples=40)
     def test_period_and_relations(self, f):
         xs = ref_orbit(f, 0.0, 65, 0.0)
-        tol = mp.PERIOD_TOL
+        tol = mp.TOL_C
         r = [abs(x) for x in xs]
         hit = next((q for q in range(1, 65) if r[q] < tol), None)
         band = [(q, r[q]) for q in range(1, hit or 65)
@@ -499,26 +499,26 @@ def ref_critical_orbit(f, n):
     return mp.CriticalOrbit(points, tuple(products), truncated)
 
 
-def ref_detect(f, p_max, tol):
+def ref_detect(f, p_max):
     band = []
     for q, x in enumerate(ref_orbit(f, 0.0, p_max + 1, 0.0)[1:], 1):
         r = abs(x)
-        if r < tol:
+        if r < mp.TOL_C:
             return mp.PeriodDetection(q, r, tuple(band))
-        if r < mp.HYSTERESIS * tol:
+        if r < mp.HYSTERESIS * mp.TOL_C:
             band.append((q, r))
     return mp.PeriodDetection(None, None, tuple(band))
 
 
-def ref_relations(f, depth, tol):
+def ref_relations(f, depth):
     xs = ref_orbit(f, 0.0, depth + 1, 0.0)
     hits, band = [], []
     for i in range(depth):
         for j in range(i + 1, depth + 1):
             r = abs(xs[i] - xs[j])
-            if r < tol:
+            if r < mp.TOL_C:
                 hits.append((i, j))
-            elif r < mp.HYSTERESIS * tol:
+            elif r < mp.HYSTERESIS * mp.TOL_C:
                 band.append((i, j))
     hits.sort(key=lambda ij: (ij[0], ij[1] - ij[0]))
     canonical, derived = [], []
@@ -543,7 +543,7 @@ def ref_j(f, v):
     n, tail = fn._series_depth(f, v, fn.J_TOL)
     if n == 0:
         return fn.JResult(0.0, "series", 0, 0.0)
-    det = ref_detect(f, max(mp.P_MAX, n), mp.PERIOD_TOL)
+    det = ref_detect(f, max(mp.P_MAX, n))
     if det.clean and det.period is not None:
         return fn.JResult(ref_series(f, v, det.period, 0.0)[0], "periodic",
                           det.period, 0.0, det.period)
@@ -596,10 +596,10 @@ def _readers(f, v, n):
                      lambda: ref_symbols(f, 0.0, n), n - 1),
         "critical_orbit": (lambda: mp.critical_orbit(f, n),
                            lambda: ref_critical_orbit(f, n), n),
-        "detect": (lambda: mp.detect_periodic_critical(f, m, mp.PERIOD_TOL),
-                   lambda: ref_detect(f, m, mp.PERIOD_TOL), m),
-        "relations": (lambda: mp.critical_relations(f, m, mp.PERIOD_TOL),
-                      lambda: ref_relations(f, m, mp.PERIOD_TOL), m),
+        "detect": (lambda: mp.detect_periodic_critical(f, m),
+                   lambda: ref_detect(f, m), m),
+        "relations": (lambda: mp.critical_relations(f, m),
+                      lambda: ref_relations(f, m), m),
         "j": (lambda: fn.j_functional(f, v), lambda: ref_j(f, v),
               _j_depth(f, v)),
     }
@@ -687,14 +687,14 @@ class TestOrbitRecordReaders:
 
     @pytest.mark.parametrize("f, k", BAND_ENTRIES, ids=BAND_IDS)
     def test_period_products_as_snapped(self, f, k):
-        # a period p found within PERIOD_TOL has no earlier exact return,
-        # so the raw products to depth p are the ones that stop at the
-        # first point of the band |x| < PERIOD_TOL
+        # a period p found within TOL_C has no earlier exact return, so
+        # the raw products to depth p are the ones that stop at the first
+        # point of the band |x| < TOL_C
         p = mp.detect_periodic_critical(f).period
         if p is None:
             return
-        xs = ref_orbit(f, 0.0, p + 1, mp.PERIOD_TOL)
-        want = ref_products(f, xs, mp.PERIOD_TOL)
+        xs = ref_orbit(f, 0.0, p + 1, mp.TOL_C)
+        want = ref_products(f, xs, mp.TOL_C)
         assert len(want) == p
         assert _hex(mp.critical_orbit(_fresh(f), p).products) == _hex(want)
 
@@ -771,6 +771,6 @@ class TestScanBrackets:
             assert any(s <= tr.t_lo and tr.t_hi <= t
                        for s, t in zip(grid, grid[1:]))
             ends = [sc._signature(fam, t, sc.KNEADING_DEPTH,
-                                  sc.RELATION_DEPTH, mp.PERIOD_TOL)
+                                  sc.RELATION_DEPTH)
                     for t in (tr.t_lo, tr.t_hi)]
             assert ends[0] != ends[1]

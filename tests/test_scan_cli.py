@@ -132,8 +132,7 @@ def _bisected(F, a, b, width):
     kinds = sc._changed(sig_lo, sig_hi)
     while t_hi - t_lo > width:
         mid = 0.5 * (t_lo + t_hi)
-        sig = sc._signature(F, mid, sc.KNEADING_DEPTH, sc.RELATION_DEPTH,
-                            mp.PERIOD_TOL)
+        sig = sc._signature(F, mid, sc.KNEADING_DEPTH, sc.RELATION_DEPTH)
         if sig == sig_lo:
             t_lo = mid
         else:
@@ -220,14 +219,17 @@ class TestNewtonLocalization:
 
     def test_width_below_float_spacing_ends(self, transversal_family):
         # near t = 0.01 adjacent floats are 1.7e-18 apart, so a 1e-20
-        # bracket cannot exist; the bisection stops at adjacent floats
+        # bracket cannot exist; the bisection stops at adjacent floats,
+        # where f^29(c) enters the band |x| < TOL_C (...LRLR vs ...LRLC)
         res = sc.run_scan(transversal_family, [0.01, 0.0104], width=1e-20)
         (tr,) = res.transitions
         assert tr.method == "bisection" and not tr.localized
         assert math.nextafter(tr.t_lo, 1.0) == tr.t_hi
+        assert [mp.kneading(mp.family_eval(transversal_family, t), 30)[25:]
+                for t in (tr.t_lo, tr.t_hi)] == ["RLRLR", "RLRLC"]
         # Newton hands over once a step no longer moves t, instead of
         # running to its 56-iteration cap (104 maps)
-        assert tr.evaluations == 61
+        assert tr.evaluations == 60
 
     def test_unlocalized_transitions_say_grid(self, transversal_family):
         res = sc.run_scan(transversal_family, np.linspace(-0.02, 0.02, 11),
@@ -707,3 +709,14 @@ def test_emitted_bytes_pinned(tmp_path, cmd, payload, digests):
         summ = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert {tr["method"] for tr in summ["transitions"]} == {
             "newton", "bisection"}
+
+
+def test_scan_ignores_tol(tmp_path):
+    # one band decides periodicity and relations, so scan has no tolerance
+    # to override: --tol is checked, then ignored
+    cfg = _write_cfg(tmp_path / "c.json", _PINNED[0][1])
+    for name, extra in (("plain", []), ("tol", ["--tol=1e-6"])):
+        assert cli.main(["scan", "--config", cfg,
+                         "--out", str(tmp_path / name), *extra]) == 0
+    assert _digests(tmp_path / "tol") == _digests(tmp_path / "plain") \
+        == _PINNED[0][2]
