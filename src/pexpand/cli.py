@@ -1,11 +1,9 @@
-"""Command line front end.
-
-    pexpand <command> --config cfg.json --out dir [--tol X] [--depth N] [--grid N]
-
-Exit codes: 0 success, 1 precondition or input failure, 2 internal
-consistency failure (a result that contradicts what the code itself
-certified earlier).
-"""
+"""Command line front end: ``pexpand <command> --config cfg.json --out dir``
+and the flags that command reads.  ``_COMMANDS`` gives each command's
+handler, help and flags; the parser is built from it once, at import.
+Exit 0 on success, 1 on a usage, path, precondition or input failure, 2 on
+an internal consistency failure (a result contradicting what the code itself
+certified earlier)."""
 
 import argparse
 import sys
@@ -20,42 +18,7 @@ from . import io as _io
 from . import maps as _maps
 from . import scan as _scan
 from .errors import (InternalConsistencyError, KneadingDriftError,
-                     PexpandError)
-
-_COMMANDS = ("validate", "j", "alpha", "horiz", "deform", "continue",
-             "conjugacy", "scan", "cor51", "cor52")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pexpand",
-        description="piecewise expanding unimodal map toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "validate": "check a map against the class requirements",
-        "j": "evaluate the critical-orbit functional J(f, v)",
-        "alpha": "solve the twisted cohomological equation on a grid",
-        "horiz": "project a direction onto the kernel of J",
-        "deform": "integrate the in-class deformation of a family",
-        "continue": "continue a periodic critical point through a family",
-        "conjugacy": "build and verify a conjugacy table",
-        "scan": "sweep a family and localize class transitions",
-        "cor51": "deformation tangent to a J-kernel direction",
-        "cor52": "ladder of periodic families approaching an in-class one",
-    }
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name, help=helps[name])
-        cmd.add_argument("--config", required=True,
-                         help="JSON file describing maps/fields/families")
-        cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--tol", type=float, default=None,
-                         help="command-specific tolerance override "
-                              "(finite and > 0)")
-        cmd.add_argument("--depth", type=int, default=None,
-                         help="kneading / table depth override")
-        cmd.add_argument("--grid", type=int, default=None,
-                         help="grid node count override")
-    return parser
+                     PexpandError, PreconditionError)
 
 
 def _grid_from(cfg: dict, fam: _maps.MapFamily, override: int | None):
@@ -188,35 +151,70 @@ def _cmd_cor52(cfg, out, args):
     _io.emit_ladder(ladder, out)
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "j": _cmd_j,
-    "alpha": _cmd_alpha,
-    "horiz": _cmd_horiz,
-    "deform": _cmd_deform,
-    "continue": _cmd_continue,
-    "conjugacy": _cmd_conjugacy,
-    "scan": _cmd_scan,
-    "cor51": _cmd_cor51,
-    "cor52": _cmd_cor52,
+_COMMANDS = {  # name: (handler, help, the flags the handler reads)
+    "validate": (_cmd_validate, "check a map against the class requirements",
+                 ()),
+    "j": (_cmd_j, "evaluate the critical-orbit functional J(f, v)",
+          ("--tol",)),
+    "alpha": (_cmd_alpha, "solve the twisted cohomological equation on a "
+              "grid", ("--grid",)),
+    "horiz": (_cmd_horiz, "project a direction onto the kernel of J", ()),
+    "deform": (_cmd_deform, "integrate the in-class deformation of a family",
+               ("--tol",)),
+    "continue": (_cmd_continue, "continue a periodic critical point through "
+                 "a family", ()),
+    "conjugacy": (_cmd_conjugacy, "build and verify a conjugacy table",
+                  ("--tol", "--depth")),
+    "scan": (_cmd_scan, "sweep a family and localize class transitions",
+             ("--depth", "--grid")),
+    "cor51": (_cmd_cor51, "deformation tangent to a J-kernel direction",
+              ("--tol",)),
+    "cor52": (_cmd_cor52, "ladder of periodic families approaching an "
+              "in-class one", ()),
 }
+_FLAGS = {"--tol": (float, "tolerance override (finite and > 0)"),
+          "--depth": (int, "kneading / table depth override"),
+          "--grid": (int, "grid node count override")}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, like any bad input
+        raise PreconditionError(f"{self.prog}: {message}")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="pexpand",
+                     description="piecewise expanding unimodal map toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--config", required=True,
+                         help="JSON file describing maps/fields/families")
+        cmd.add_argument("--out", required=True, help="output directory")
+        for flag in flags:
+            cmd.add_argument(flag, type=_FLAGS[flag][0], help=_FLAGS[flag][1])
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    where = ""  # a usage error from _Parser names the command itself
     try:
-        if args.tol is not None:  # one contract for every command's --tol
+        args = _PARSER.parse_args(argv)
+        where = f"pexpand {args.command}: "
+        if getattr(args, "tol", None) is not None:
             _functional._check_tol(args.tol)
         cfg = _io.load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _HANDLERS[args.command](cfg, out, args)
+        _COMMANDS[args.command][0](cfg, out, args)
     except (InternalConsistencyError, KneadingDriftError) as exc:
-        print(f"pexpand {args.command}: consistency failure: {exc}",
-              file=sys.stderr)
+        print(f"{where}consistency failure: {exc}", file=sys.stderr)
         return 2
-    except PexpandError as exc:
-        print(f"pexpand {args.command}: {exc}", file=sys.stderr)
+    except (PexpandError, OSError) as exc:  # OSError: --out unusable
+        print(f"{where}{exc}", file=sys.stderr)
         return 1
     return 0
 

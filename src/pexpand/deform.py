@@ -36,6 +36,7 @@ from .functional import (
 )
 from .maps import (
     KNEADING_DEPTH,
+    P_MAX,
     DirectionField,
     MapFamily,
     PiecewiseMap,
@@ -424,8 +425,8 @@ def find_periodic_theta(F: MapFamily, w: DirectionField, p: int,
 
     The converged root must have prime period p.
     """
-    if p < 2:
-        raise PreconditionError("period must be >= 2")
+    if not 2 <= p <= P_MAX:
+        raise PreconditionError(f"period must be >= 2 and <= {P_MAX}")
     theta, g, xs, it = _newton(F, w, p, t, theta0, 50)
     _require_prime_period(g, p, theta)
     margin = is_good(g).margin
@@ -490,8 +491,8 @@ def continue_periodic(F: MapFamily, w: DirectionField, p: int, theta0: float,
     period must be p at the centre, or nothing is continued, and must stay
     p: a change aborts the side and records the node index.
     """
-    if p < 1:
-        raise PreconditionError("period must be >= 1")
+    if not 1 <= p <= P_MAX:
+        raise PreconditionError(f"period must be >= 1 and <= {P_MAX}")
     t_lo, t_hi = F.domain
     if not t_lo <= 0.0 <= t_hi:
         raise PreconditionError("family domain must contain t = 0")

@@ -24,10 +24,10 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise PreconditionError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"config is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read the config: {exc}") from None
     if not isinstance(cfg, dict):
         raise PreconditionError("config root must be a JSON object")
     return cfg

@@ -12,8 +12,8 @@ from .deform import (DeformationTrace, PeriodicContinuation,
 from .errors import (InternalConsistencyError, NewtonDivergenceError,
                      PreconditionError)
 from .functional import default_tol_w, j_functional
-from .maps import (KNEADING_DEPTH, DirectionField, FamilyTerm, MapFamily,
-                   PiecewiseMap, aux_dictionary, critical_relations,
+from .maps import (KNEADING_DEPTH, P_MAX, DirectionField, FamilyTerm,
+                   MapFamily, PiecewiseMap, aux_dictionary, critical_relations,
                    detect_periodic_critical, family_eval, family_velocity,
                    iterates, kneading)
 
@@ -388,7 +388,7 @@ def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
     """Periodic-critical families closing in on an in-class family.
 
     The family must show no transition on a 41-node scan of its domain.
-    For each requested period p (all >= 2), a root theta_p of g^p(c) = c
+    For each requested period p (2 to P_MAX), a root theta_p of g^p(c) = c
     is hunted from 12 log-spaced seed magnitudes in [1e-4, 0.08] on both
     sides of 0 and continued in t, in 10 fixed steps per side, alongside
     the reference deformation f~_t = f_t + b(t) w.  A rung g_t = f_t +
@@ -402,9 +402,9 @@ def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
     lo, hi = F.domain
     if not lo < 0.0 < hi:
         raise PreconditionError("family domain must contain t = 0")
-    if any(p < 2 for p in periods):
-        raise PreconditionError(
-            f"ladder periods must be >= 2, got {list(periods)}")
+    if any(not 2 <= p <= P_MAX for p in periods):
+        raise PreconditionError(f"ladder periods must be >= 2 and <= "
+                                f"{P_MAX}, got {list(periods)}")
     sweep = run_scan(F, np.linspace(lo, hi, 41), localize=False)
     if sweep.transitions:
         raise PreconditionError(

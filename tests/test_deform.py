@@ -332,6 +332,13 @@ class TestFindPeriodicTheta:
         with pytest.raises(PreconditionError):
             df.find_periodic_theta(transversal_family(), odd_field(), 6)
 
+    @pytest.mark.parametrize("p", [1, mp.P_MAX + 1, 10 ** 8])
+    def test_period_out_of_range_refused(self, p):
+        # the detector that checks the root searches periods up to P_MAX
+        with pytest.raises(PreconditionError,
+                           match=f"period must be >= 2 and <= {mp.P_MAX}"):
+            df.find_periodic_theta(transversal_family(), odd_field(), p)
+
     def test_prime_period_band_is_ambiguous(self):
         # f^3(c) in [TOL_C, 10 TOL_C): the period-6 check reads the
         # detector's hysteresis band and decides nothing
@@ -365,6 +372,12 @@ class TestContinuePeriodic:
     @pytest.mark.parametrize("p", [0, -1])
     def test_period_below_one_refused(self, p):
         with pytest.raises(PreconditionError, match="period must be >= 1"):
+            df.continue_periodic(transversal_family(), odd_field(), p, 0.0)
+
+    @pytest.mark.parametrize("p", [mp.P_MAX + 1, 10 ** 8])
+    def test_period_above_p_max_refused(self, p):
+        with pytest.raises(PreconditionError,
+                           match=f"period must be >= 1 and <= {mp.P_MAX}"):
             df.continue_periodic(transversal_family(), odd_field(), p, 0.0)
 
     def test_lower_period_centre_refused_like_the_root_finder(self):

@@ -1,8 +1,10 @@
 """Grid scans, transition localization, workflows, and the CLI contract."""
 
+import argparse
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -309,6 +311,13 @@ def _write_cfg(path, payload):
     return str(path)
 
 
+# the flags each command reads, which are the only ones it accepts
+_FLAGS_READ = {
+    "validate": set(), "j": {"--tol"}, "alpha": {"--grid"}, "horiz": set(),
+    "deform": {"--tol"}, "continue": set(), "conjugacy": {"--tol", "--depth"},
+    "scan": {"--depth", "--grid"}, "cor51": {"--tol"}, "cor52": set()}
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path):
         cfg = _write_cfg(tmp_path / "c.json", {"map": "golden_tent"})
@@ -379,7 +388,8 @@ class TestCli:
     def test_consistency_failure_exits_2(self, tmp_path, monkeypatch):
         def boom(cfg, out, args):
             raise InternalConsistencyError("forced")
-        monkeypatch.setitem(cli._HANDLERS, "j", boom)
+        _, text, flags = cli._COMMANDS["j"]
+        monkeypatch.setitem(cli._COMMANDS, "j", (boom, text, flags))
         cfg = _write_cfg(tmp_path / "c.json",
                          {"map": "golden_tent", "field": "bump"})
         assert cli.main(["j", "--config", cfg,
@@ -476,8 +486,9 @@ class TestCli:
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("cmd", cli._COMMANDS)
     def test_every_command_refuses_bad_tol(self, tmp_path, capsys, cmd, tol):
-        # a config every command could run; --tol is refused before it is
-        # read and before the output directory exists
+        # a config every command could run; a command that reads --tol
+        # refuses a bad value before it reads the config, the others refuse
+        # the flag, and neither creates the output directory
         family = {"base": "golden_tent", "terms": [{"field": "bump"}]}
         cfg = _write_cfg(tmp_path / "c.json", {
             "map": "golden_tent", "field": "bump", "v": "bump", "w": "odd",
@@ -486,10 +497,82 @@ class TestCli:
         out = tmp_path / "o"
         assert cli.main([cmd, "--config", cfg, "--out", str(out),
                          f"--tol={tol}"]) == 1
-        assert capsys.readouterr().err == (
-            f"pexpand {cmd}: tolerance must be finite and > 0, "
-            f"got {float(tol)!r}\n")
+        if "--tol" in _FLAGS_READ[cmd]:
+            assert capsys.readouterr().err == (
+                f"pexpand {cmd}: tolerance must be finite and > 0, "
+                f"got {float(tol)!r}\n")
+        else:
+            assert capsys.readouterr().err == (
+                f"pexpand: unrecognized arguments: --tol={tol}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", _FLAGS_READ)
+    def test_command_takes_only_the_flags_it_reads(self, cmd):
+        assert set(cli._COMMANDS) == set(_FLAGS_READ)
+        argv = [cmd, "--config", "c.json", "--out", "o"]
+        taken = {flag for flag in ("--tol", "--depth", "--grid")
+                 if not cli._PARSER.parse_known_args(argv + [flag, "2"])[1]}
+        assert taken == _FLAGS_READ[cmd]
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        cfg = _write_cfg(tmp_path / "c.json", {"map": "golden_tent"})
+        for run in ("a", "b"):
+            assert cli.main(["validate", "--config", cfg,
+                             "--out", str(tmp_path / run)]) == 0
+        assert built == []
+
+    @pytest.mark.parametrize("argv, err", [
+        (["nope", "--config", "CFG", "--out", "OUT"],
+         "pexpand: argument command: invalid choice: 'nope'"),
+        (["j", "--config", "CFG", "--out", "OUT", "--grid", "5"],
+         "pexpand: unrecognized arguments: --grid 5"),
+        (["scan", "--config", "CFG", "--out", "OUT", "--depth", "abc"],
+         "pexpand scan: argument --depth: invalid int value: 'abc'"),
+        (["j", "--out", "OUT"],
+         "pexpand j: the following arguments are required: --config"),
+    ], ids=["command", "flag", "depth-abc", "no-config"])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv, err):
+        cfg = _write_cfg(tmp_path / "c.json", {
+            "map": "golden_tent", "field": "bump",
+            "family": {"base": "golden_tent", "terms": [{"field": "bump"}]}})
+        out = tmp_path / "o"
+        argv = [{"CFG": cfg, "OUT": str(out)}.get(a, a) for a in argv]
+        assert cli.main(argv) == 1
+        text = capsys.readouterr().err
+        assert text.startswith(err) and text.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as done:
+            cli.main(argv)
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pexpand")
+
+    @pytest.mark.parametrize("config, out, err", [
+        (".", "o", "cannot read the config: [Errno 21] Is a directory"),
+        ("latin1.json", "o", "cannot read the config: 'utf-8' codec can't"),
+        ("c.json", "file", "[Errno 17] File exists"),
+        ("c.json", "file/o", "[Errno 20] Not a directory"),
+    ], ids=["config-dir", "config-not-utf8", "out-file", "out-below-file"])
+    def test_path_error_exits_1(self, tmp_path, capsys, config, out, err):
+        _write_cfg(tmp_path / "c.json", {"map": "golden_tent"})
+        (tmp_path / "latin1.json").write_bytes(
+            '{"map": "golden_tent", "note": "\u00e9"}'.encode("latin-1"))
+        (tmp_path / "file").write_text("")
+        assert cli.main(["validate", "--config", str(tmp_path / config),
+                         "--out", str(tmp_path / out)]) == 1
+        text = capsys.readouterr().err
+        assert text.startswith(f"pexpand validate: {err}")
+        assert text.count("\n") == 1 and "Traceback" not in text
 
     def test_exact_return_ends_series(self, tmp_path):
         # f^2(c) sits in the hysteresis band, and the raw orbit lands on
@@ -651,6 +734,25 @@ def test_overflowing_family_power_is_an_error_node(tmp_path, capfd):
         ["error", "error:PreconditionError"]]
 
 
+@pytest.mark.parametrize("cmd, payload", [
+    ("continue", {"family": _ODD_FAMILY, "w": "bump",
+                  "period": mp.P_MAX + 1}),
+    ("continue", {"family": _ODD_FAMILY, "w": "bump", "period": 10 ** 8}),
+    ("cor52", {"family": {"base": "full_tent", "terms": [{"field": "odd"}]},
+               "periods": [7, mp.P_MAX + 1]}),
+], ids=["continue", "continue-1e8", "cor52"])
+def test_period_above_p_max_exits_1_at_once(tmp_path, capsys, cmd, payload):
+    # periodicity is searched up to P_MAX, so a deeper period is refused
+    # before any orbit is walked
+    cfg = _write_cfg(tmp_path / "c.json", payload)
+    start = time.perf_counter()
+    assert cli.main([cmd, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"pexpand {cmd}: ") and f"<= {mp.P_MAX}" in err
+
+
 def test_continue_refuses_lower_period_at_centre(tmp_path, capsys):
     # theta = 0 is the golden tent itself, whose critical point has period
     # 3, so a period-6 continuation has no centre to start from
@@ -711,12 +813,12 @@ def test_emitted_bytes_pinned(tmp_path, cmd, payload, digests):
             "newton", "bisection"}
 
 
-def test_scan_ignores_tol(tmp_path):
+def test_scan_refuses_tol(tmp_path, capsys):
     # one band decides periodicity and relations, so scan has no tolerance
-    # to override: --tol is checked, then ignored
+    # to override and refuses --tol, even a valid one
     cfg = _write_cfg(tmp_path / "c.json", _PINNED[0][1])
-    for name, extra in (("plain", []), ("tol", ["--tol=1e-6"])):
-        assert cli.main(["scan", "--config", cfg,
-                         "--out", str(tmp_path / name), *extra]) == 0
-    assert _digests(tmp_path / "tol") == _digests(tmp_path / "plain") \
-        == _PINNED[0][2]
+    assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--tol=1e-6"]) == 1
+    assert capsys.readouterr().err == (
+        "pexpand: unrecognized arguments: --tol=1e-6\n")
+    assert not (tmp_path / "o").exists()
