@@ -34,6 +34,14 @@ def _grid_from(cfg: dict, fam: _maps.MapFamily, override: int | None):
     return np.linspace(lo, hi, _functional.grid_size(n))
 
 
+def _given(cfg: dict, key: str, flag: int | None = None) -> dict:
+    """{key: the flag's value, else the config's integer}, or {} when
+    neither gives one, which leaves the library's default in force."""
+    if flag is not None:
+        return {key: flag}
+    return {key: _io.number(cfg[key], int, key)} if key in cfg else {}
+
+
 def _cmd_validate(cfg, out, args):
     f = _io.parse_map(_io._require(cfg, "map"))
     _io.emit_validation(_maps.validate(f), out)
@@ -59,13 +67,10 @@ def _cmd_alpha(cfg, out, args):
     f = _io.parse_map(_io._require(cfg, "map"))
     v = _io.parse_field(_io._require(cfg, "field"))
     sol = _functional.alpha(f, v)
-    n = args.grid if args.grid is not None else _io.number(
-        cfg.get("n", 201), int, "n")
-    grid = _functional.uniform_grid(n)
-    xs = grid[np.abs(grid) >= _maps.TOL_C]
-    rows = zip(xs.tolist(), sol.value(xs).tolist())
+    rep = _functional.check_twisted_cohomology(
+        f, v, sol, **_given(cfg, "n", args.grid))
+    rows = zip(rep.points.tolist(), rep.alpha.tolist())
     _io.write_csv(Path(out) / "alpha.csv", ("x", "alpha"), rows)
-    rep = _functional.check_twisted_cohomology(f, v, sol, grid=grid)
     hz = _functional.horizontality(f, v)
     _io.write_json(Path(out) / "summary.json", {
         "max_residual": rep.max_residual,
@@ -112,13 +117,13 @@ def _cmd_continue(cfg, out, args):
 def _cmd_conjugacy(cfg, out, args):
     f0 = _io.parse_map(_io._require(cfg, "f0"))
     f1 = _io.parse_map(_io._require(cfg, "f1"))
-    depth = args.depth if args.depth is not None else _io.number(
-        cfg.get("depth", _conjugacy.DEPTH_DEFAULT), int, "depth")
+    kwargs = _given(cfg, "depth", args.depth)
+    if "count" in cfg:
+        kwargs["min_count"] = _io.number(cfg["count"], int, "count")
     table = _conjugacy.ConjugacyTable.build(
-        f0, f1, _io.number(cfg.get("count", 200), int, "count"),
-        _io.number(cfg.get("max_period", 8), int, "max_period"), depth)
-    tol = args.tol if args.tol is not None else 1e-8
-    report = _conjugacy.verify_conjugacy(f0, f1, table, tol=tol)
+        f0, f1, **kwargs, **_given(cfg, "max_period"))
+    tol = {} if args.tol is None else {"tol": args.tol}
+    report = _conjugacy.verify_conjugacy(f0, f1, table, **tol)
     _io.emit_table(f0, f1, table, report, out)
 
 

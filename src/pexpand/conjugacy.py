@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPointError, OrbitRefusedError, PreconditionError
-from .maps import PiecewiseMap, itinerary, lambda_of, _on_branches, _pval
+from .maps import (TOL_C, PiecewiseMap, itinerary, lambda_of, _on_branches,
+                   _pval)
 
 INVERSE_TOL = 1e-13
 INVERSE_MAX_ITER = 80
@@ -326,7 +327,7 @@ def generate_conjugacy_words(f0: PiecewiseMap, f1: PiecewiseMap,
     The roots pair the periodic points of f0 and f1 by word (NoPointError
     names a word of f0 that f1 lacks).  Whole generations of children with
     word s + w[:depth-1] follow: a word already tabled is not solved again,
-    and a child f0 puts within 1e-9 of c (its word needs a C) is skipped.
+    and a child f0 puts within TOL_C of c (its word needs a C) is skipped.
     """
     points1 = _periodic_points(f1, max_period, depth)
     # a self-table searches its map once; repr tells signed zeros apart
@@ -356,7 +357,7 @@ def generate_conjugacy_words(f0: PiecewiseMap, f1: PiecewiseMap,
                 if wz in seen:
                     continue
                 z = inverse_branch(f0, min(max(x, -1.0), cv0), side)
-                if abs(z) < 1e-9:
+                if abs(z) < TOL_C:
                     continue
                 if y > cv1 + 1e-12:
                     raise NoPointError(

@@ -202,18 +202,9 @@ class AlphaSolution:
         Each point accumulates v(y)/Df^i until its orbit enters the band
         |y| < TOL_C (the exact finite form: k = min{i > 0 : f^i(x) = c}) or
         n_max terms are summed; points starting in the band get 0.  A float
-        takes the scalar orbit, in the array path's arithmetic and order.
+        goes through the same loop as a one-point array, and comes back as a
+        float.
         """
-        if not isinstance(x, np.ndarray):
-            if abs(x) < TOL_C:
-                return 0.0
-            total, prod = 0.0, 1.0
-            for y in islice(orbit(self.f, x), self.n_max):
-                if abs(y) < TOL_C:
-                    break
-                prod *= self.f.deriv(y)
-                total += self.v.value(y) / prod
-            return -total
         y = np.array(x, dtype=float, ndmin=1)
         at_c = np.abs(y) < TOL_C
         live = np.flatnonzero(~at_c)
@@ -230,7 +221,7 @@ class AlphaSolution:
             live = live[np.abs(ys) >= TOL_C]
         out = -total
         out[at_c] = 0.0
-        return out
+        return out if isinstance(x, np.ndarray) else float(out[0])
 
 
 def alpha(f: PiecewiseMap, v: DirectionField, tol: float = ALPHA_TOL) -> AlphaSolution:
@@ -260,28 +251,32 @@ def uniform_grid(n: int) -> np.ndarray:
 class CohomologyReport:
     max_residual: float
     argmax: float
-    n_points: int
+    points: np.ndarray  # the grid points kept, outside the critical band
+    alpha: np.ndarray   # alpha at those points
+
+    @property
+    def n_points(self) -> int:
+        return self.points.size
 
 
 def check_twisted_cohomology(f: PiecewiseMap, v: DirectionField,
                              sol: AlphaSolution | None = None,
-                             grid=None, n: int = 201) -> CohomologyReport:
-    """Max residual of v(x) - alpha(f(x)) + Df(x) alpha(x) over a grid.
+                             n: int = 201) -> CohomologyReport:
+    """Max residual of v(x) - alpha(f(x)) + Df(x) alpha(x) over
+    ``uniform_grid(n)``.
 
-    The grid defaults to ``uniform_grid(n)``.  Grid points inside the
-    critical band are dropped (Df is one-sided there and alpha is pinned
-    to 0 by convention); at least one point must remain.
+    Grid points inside the critical band are dropped (Df is one-sided there
+    and alpha is pinned to 0 by convention); the ends -1 and 1 always stay.
+    The report carries the points kept and alpha at each of them.
     """
     if sol is None:
         sol = alpha(f, v)
-    xs = uniform_grid(n) if grid is None else np.asarray(grid, dtype=float)
+    xs = uniform_grid(n)
     xs = xs[np.abs(xs) >= TOL_C]
-    if xs.size == 0:
-        raise PreconditionError("no grid point outside the critical band")
-    r = np.abs(v.value(xs) - sol.value(f.value(xs))
-               + f.deriv(xs) * sol.value(xs))
+    a = sol.value(xs)
+    r = np.abs(v.value(xs) - sol.value(f.value(xs)) + f.deriv(xs) * a)
     i = int(np.argmax(r))
-    return CohomologyReport(float(r[i]), float(xs[i]), int(xs.size))
+    return CohomologyReport(float(r[i]), float(xs[i]), xs, a)
 
 
 # ---------------------------------------------------------------------------

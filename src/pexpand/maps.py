@@ -391,24 +391,21 @@ class CriticalOrbit:
 
 
 def critical_orbit(f: PiecewiseMap, n: int) -> CriticalOrbit:
-    """c's raw orbit to depth n, with f's stored products extended up to
-    depth n or the first exact return to c."""
+    """c's raw orbit to depth n, read in one pass; f's stored products grow
+    from those points to depth n or the first exact return to c."""
     if n < 1:
         raise PreconditionError("orbit depth must be >= 1")
+    points = tuple(islice(f.critical_points(), n + 1))
+    # points[0] is c itself, so a second 0.0 is the first exact return
+    k = points.index(0.0, 1) if points.count(0.0) > 1 else None
     products = f._orbit[1]
-    k = None
-    for i, x in enumerate(islice(f.critical_points(), 1, n + 1), 1):
-        if x == 0.0:
-            k = i
-            break
-        if i == len(products) and i < n:
-            d = f.deriv(x)
-            if d == 0.0:
-                raise PreconditionError(
-                    f"zero branch derivative at orbit point {x!r}")
-            products.append(products[-1] * d)
-    return CriticalOrbit(tuple(islice(f.critical_points(), n + 1)),
-                         tuple(products[:k or n]), k)
+    for x in points[len(products):k or n]:
+        d = f.deriv(x)
+        if d == 0.0:
+            raise PreconditionError(
+                f"zero branch derivative at orbit point {x!r}")
+        products.append(products[-1] * d)
+    return CriticalOrbit(points, tuple(products[:k or n]), k)
 
 
 def kneading(f: PiecewiseMap, n: int) -> str:

@@ -19,6 +19,7 @@ from pexpand import (
     symmetric_tent,
 )
 from pexpand import functional as fn
+from pexpand import maps as mp
 from pexpand.maps import GOLDEN_RATIO
 
 import oracles
@@ -132,16 +133,16 @@ class TestAlpha:
     def test_array_orbit_matches_point_loop(self, f, xs):
         sol = fn.alpha(f, bump_field())
 
-        def point_loop(x, tol_c=1e-10):
+        def point_loop(x):
             # per-point reference: the orbit sum one float at a time
-            if abs(x) < tol_c:
+            if abs(x) < mp.TOL_C:
                 return 0.0
             total, y, prod = 0.0, x, 1.0
             for _ in range(sol.n_max):
                 prod *= f.deriv(y)
                 total += sol.v.value(y) / prod
                 y = f.value(y)
-                if abs(y) < tol_c:
+                if abs(y) < mp.TOL_C:
                     break
             return -total
 
@@ -173,7 +174,7 @@ class TestCohomology:
         x0 = 0.41  # an interior grid point of the default 201-grid
 
         class Corrupted:
-            def value(self, x, tol_c=1e-10):
+            def value(self, x):
                 return sol.value(x) + np.where(abs(x - x0) < 1e-12, 0.1, 0.0)
 
         rep = fn.check_twisted_cohomology(f, v, Corrupted())

@@ -798,6 +798,18 @@ _PINNED = [
                     "2f064498155217dc4e8e57cc7b9eefae",
       "summary.json": "87a8deb68de670c4d1fe156810fdc210"
                       "812994603b947cb0078386577c5a43f5"}),
+    # alpha.csv holds alpha at the cohomology check's own grid points
+    ("alpha", {"map": "curved_not_good", "field": "odd"},
+     {"alpha.csv": "0cb3ddd8b959700dfe1ee79fc2ae1550"
+                   "a2d37f800b7e517cd91417a28a4e9ea6",
+      "summary.json": "0e959690872854edeb2167a0ccf50f2d"
+                      "a0b7b2d9f7b9a49b08eaa19a32a5c484"}),
+    # dyadic grid points land on c exactly; 0.0 itself is filtered out
+    ("alpha", {"map": "full_tent", "field": "bump"},
+     {"alpha.csv": "88a51b3a5d5336a4a64f4cb709a48107"
+                   "ad18efab80af4b9aa3636134ff075468",
+      "summary.json": "13a7569683d1b073ac621ada08421ab9"
+                      "f04fb7c170edf0308d1e2e2b16dcfeb6"}),
 ]
 
 
