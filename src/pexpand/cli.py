@@ -26,11 +26,13 @@ def _grid_from(cfg: dict, fam: _maps.MapFamily, override: int | None):
     if isinstance(node, list):
         return [_io.number(t, float, "grid") for t in node]
     spec = node if isinstance(node, dict) else {}
-    lo, hi = fam.domain
-    lo = _io.number(spec.get("lo", lo), float, "grid lo")
-    hi = _io.number(spec.get("hi", hi), float, "grid hi")
+    d_lo, d_hi = fam.domain
+    lo = _io.number(spec.get("lo", d_lo), float, "grid lo")
+    hi = _io.number(spec.get("hi", d_hi), float, "grid hi")
     n = override if override is not None else _io.number(
         spec.get("n", 101), int, "grid n")
+    for t in (lo, hi):  # before linspace, whose step could overflow
+        _scan._require_in_domain(t, d_lo, d_hi)
     return np.linspace(lo, hi, _functional.grid_size(n))
 
 
@@ -124,7 +126,7 @@ def _cmd_conjugacy(cfg, out, args):
         f0, f1, **kwargs, **_given(cfg, "max_period"))
     tol = {} if args.tol is None else {"tol": args.tol}
     report = _conjugacy.verify_conjugacy(f0, f1, table, **tol)
-    _io.emit_table(f0, f1, table, report, out)
+    _io.emit_table(table, report, out)
 
 
 def _cmd_scan(cfg, out, args):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPointError, OrbitRefusedError, PreconditionError
-from .maps import (TOL_C, PiecewiseMap, itinerary, lambda_of, _on_branches,
-                   _pval)
+from .maps import (P_MAX, TOL_C, PiecewiseMap, itinerary, lambda_of,
+                   _on_branches, _pval)
 
 INVERSE_TOL = 1e-13
 INVERSE_MAX_ITER = 80
@@ -179,6 +179,7 @@ class ConjugacyReport:
     coverage: int
     unmatched: int
     vacuous: bool
+    residuals: tuple[float | None, ...]  # entry_residuals, one per entry
 
 
 def entry_residuals(f0: PiecewiseMap, f1: PiecewiseMap,
@@ -216,20 +217,21 @@ def verify_conjugacy(f0: PiecewiseMap, f1: PiecewiseMap,
     """
     entries = table.entries
     if not entries:
-        return ConjugacyReport(True, 0.0, None, True, 0, 0, True)
+        return ConjugacyReport(True, 0.0, None, True, 0, 0, True, ())
     xs = [e.x for e in entries]
     monotonic = all(xs[i] < xs[i + 1] for i in range(len(xs) - 1))
     monotonic &= all(entries[i].y < entries[i + 1].y
                      for i in range(len(entries) - 1))
     max_res, argmax, unmatched = 0.0, None, 0
-    for e, res in zip(entries, entry_residuals(f0, f1, table)):
+    residuals = entry_residuals(f0, f1, table)
+    for e, res in zip(entries, residuals):
         if res is None:
             unmatched += 1
         elif res > max_res:
             max_res, argmax = res, e.x
     passed = monotonic and max_res <= tol
     return ConjugacyReport(passed, max_res, argmax, monotonic,
-                           len(entries), unmatched, False)
+                           len(entries), unmatched, False, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +294,12 @@ def _periodic_roots(f: PiecewiseMap, max_period: int, grid_n: int = 40001,
 
 def _periodic_points(f: PiecewiseMap, max_period: int,
                      depth: int) -> list[tuple[float, str, float]]:
-    """(point, depth-word, enclosure), one per L/R word."""
+    """(point, depth-word, enclosure), one per L/R word; periods outside
+    [1, P_MAX] and depths below 1 are refused before any orbit is walked."""
+    if not (1 <= max_period <= P_MAX and depth >= 1):
+        raise PreconditionError(
+            f"max_period must be >= 1 and <= {P_MAX} and depth >= 1, got "
+            f"{max_period} and {depth}")
     # only the first q symbols are read off the orbit; the rest is the
     # periodic extension (forward iteration of a double root garbles
     # symbols once lambda^i swallows the last bits of precision).

@@ -228,7 +228,7 @@ def integrate_deformation(F: MapFamily, w: DirectionField,
         raise PreconditionError(
             f"base map is not good (margin {good0.margin!r})")
     p_rel = good0.period
-    canonical = critical_relations(f0, depth=8).canonical
+    canonical = critical_relations(f0).canonical
     depth = max((j for _, j in canonical), default=0)
     w0 = w.value(0.0)
 
@@ -313,7 +313,6 @@ class TildeSample:
 class TildeFamily:
     samples: tuple[TildeSample, ...]
     kneading: str
-    drift_index: int | None
     trace: DeformationTrace
 
     @property
@@ -325,17 +324,15 @@ class TildeFamily:
 
 
 def build_tilde_family(F: MapFamily, w: DirectionField,
-                       trace: DeformationTrace,
-                       strict: bool = True) -> TildeFamily:
+                       trace: DeformationTrace) -> TildeFamily:
     """Materialize f~_t = f_t + b(t) w at the trace nodes and certify.
 
     Every sample must validate, and the depth-KNEADING_DEPTH kneading
     prefix must match the base sample's.  A mismatch means the accepted
-    steps were too loose to preserve the topological class: raised as
-    drift when strict, recorded otherwise.
+    steps were too loose to preserve the topological class: it raises
+    KneadingDriftError with the sample's index.
     """
     samples = []
-    drift = None
     base = kneading(family_eval(F, 0.0, check=False), KNEADING_DEPTH)
     for idx, node in enumerate(trace.nodes):
         g = family_eval(F, node.t, w=w, theta=node.b)
@@ -343,13 +340,10 @@ def build_tilde_family(F: MapFamily, w: DirectionField,
         samples.append(TildeSample(node.t, g, vel))
         kn = kneading(g, KNEADING_DEPTH)
         if kn != base:
-            if strict:
-                raise KneadingDriftError(
-                    f"kneading prefix changed at sample {idx} (t={node.t!r}): "
-                    f"{kn} vs {base}", idx)
-            if drift is None:
-                drift = idx
-    return TildeFamily(tuple(samples), base, drift, trace)
+            raise KneadingDriftError(
+                f"kneading prefix changed at sample {idx} (t={node.t!r}): "
+                f"{kn} vs {base}", idx)
+    return TildeFamily(tuple(samples), base, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .maps import (
     family_eval,
     family_velocity,
     is_good,
-    orbit,
     require_valid,
 )
 
@@ -186,15 +184,6 @@ class AlphaSolution:
     @property
     def bound(self) -> float:
         return self.sup_v / (self.lam - 1.0)
-
-    def classify(self, x: float) -> tuple[str, int]:
-        if abs(x) < TOL_C:
-            return ("at_c", 0)
-        ys = islice(orbit(self.f, x), 1, self.n_max + 1)
-        for i, y in enumerate(ys, 1):
-            if abs(y) < TOL_C:
-                return ("hits_c", i)
-        return ("avoids_c", self.n_max)
 
     def value(self, x):
         """alpha at a float, or at every point of an ndarray as one orbit.

@@ -10,7 +10,7 @@ import math
 from contextlib import contextmanager
 from pathlib import Path
 
-from .conjugacy import ConjugacyReport, ConjugacyTable, entry_residuals
+from .conjugacy import ConjugacyReport, ConjugacyTable
 from .deform import DeformationTrace, PeriodicContinuation
 from .errors import PreconditionError
 from .maps import (BUILTIN_FIELDS, BUILTIN_MAPS, DirectionField, FamilyTerm,
@@ -221,12 +221,11 @@ def emit_continuation(cont: PeriodicContinuation, out_dir
     return csv, summary
 
 
-def emit_table(f0: PiecewiseMap, f1: PiecewiseMap, table: ConjugacyTable,
-               report: ConjugacyReport, out_dir) -> tuple[Path, Path]:
+def emit_table(table: ConjugacyTable, report: ConjugacyReport,
+               out_dir) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
-    residuals = entry_residuals(f0, f1, table)
     rows = [(e.x, e.y, table.depth, e.bound, res)
-            for e, res in zip(table.entries, residuals)]
+            for e, res in zip(table.entries, report.residuals)]
     csv = write_csv(out_dir / "table.csv",
                     ("x", "h", "depth", "bound", "residual"), rows)
     summary = write_json(out_dir / "report.json", {

@@ -42,6 +42,7 @@ BOUNDARY_SLACK = 1e-12    # allowed overshoot of f(0) above 1
 ENDPOINT_TOL = 1e-9       # float slack for the boundary fixing check
 P_MAX = 64                # deepest period the periodicity search tries
 KNEADING_DEPTH = 30       # kneading prefix that certifies a topological class
+RELATION_DEPTH = 8        # deepest orbit index a critical relation pairs
 # Orbit budget: a J series depth, or an expansivity N0, grows like
 # 1/(lambda_f - 1), so a valid map with lambda_f = 1+1e-9 would ask for
 # ~5e10 steps; deeper requests are refused, not run.
@@ -368,9 +369,9 @@ def orbit(f: PiecewiseMap, x: float):
         x = value(x)
 
 
-def iterates(f: PiecewiseMap, n: int, x: float = 0.0) -> list[float]:
-    """x, f(x), ..., f^n(x) on the raw float orbit (c's by default)."""
-    return list(islice(orbit(f, x), n + 1))
+def iterates(f: PiecewiseMap, n: int) -> list[float]:
+    """c, f(c), ..., f^n(c): f's stored raw orbit of c, grown to depth n."""
+    return list(islice(f.critical_points(), n + 1))
 
 
 @dataclass(frozen=True)
@@ -485,7 +486,8 @@ class CriticalRelationSet:
         return tuple(sorted(self.canonical + self.derived))
 
 
-def critical_relations(f: PiecewiseMap, depth: int = 8) -> CriticalRelationSet:
+def critical_relations(f: PiecewiseMap,
+                       depth: int = RELATION_DEPTH) -> CriticalRelationSet:
     """Index pairs (i, j), i < j <= depth, with |f^i(c) - f^j(c)| < TOL_C
     on the raw float orbit.
 
@@ -553,7 +555,6 @@ class ExpansivityCertificate:
     epsilon: float
     margin: float
     boundary_contacts: tuple[int, ...]
-    images: tuple[tuple[float, float], ...]
 
 
 def _n0(lam: float) -> int:
@@ -582,11 +583,10 @@ def expansivity_certificate(f: PiecewiseMap) -> ExpansivityCertificate:
     eps = 0.5
     while eps >= 1e-12:
         lo, hi = -eps, eps
-        images, contacts, dists = [], [], []
+        contacts, dists = [], []
         ok = True
         for i in range(1, n0 + 1):
             lo, hi = interval_image(f, lo, hi)
-            images.append((lo, hi))
             if abs(lo) < TOL_C or abs(hi) < TOL_C:
                 contacts.append(i)
             elif lo > 0.0:
@@ -600,7 +600,7 @@ def expansivity_certificate(f: PiecewiseMap) -> ExpansivityCertificate:
             margin = min(dists) if dists else math.inf
             if margin > 0.0:
                 return ExpansivityCertificate(n0, eps, margin,
-                                              tuple(contacts), tuple(images))
+                                              tuple(contacts))
         eps /= 2.0
     raise CertificationError(
         "no epsilon >= 1e-12 excludes c from the first N0 images")
@@ -735,7 +735,7 @@ class MapFamily:
         object.__setattr__(self, "_chains", {})
         object.__setattr__(self, "_velocities", {})
         lo, hi = self.domain
-        if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        if not (lo < hi and math.isfinite(hi - lo)):
             raise ValueError("parameter domain must be a finite interval")
         for term in self.terms:
             if term.field.relaxed:

@@ -17,7 +17,6 @@ from .maps import (KNEADING_DEPTH, P_MAX, DirectionField, FamilyTerm,
                    detect_periodic_critical, family_eval, family_velocity,
                    iterates, kneading)
 
-RELATION_DEPTH = 8
 J_ZERO_TOL = 1e-7        # |J| below this floor counts as "vanishes"
 TRANSITION_WIDTH = 1e-8
 
@@ -63,14 +62,13 @@ class ScanResult:
         return not self.transitions
 
 
-def _node(at, t: float, kneading_depth: int,
-          relation_depth: int) -> ScanRecord:
+def _node(at, t: float, kneading_depth: int) -> ScanRecord:
     """The record of the node t, whose map and velocity are ``at(t)``; every
     classifier reads the map's one orbit of c."""
     try:
         f, v = at(t)
         kn = kneading(f, kneading_depth)
-        rel = critical_relations(f, relation_depth)
+        rel = critical_relations(f)
         det = detect_periodic_critical(f)
         j = j_functional(f, v)
     except PreconditionError as exc:
@@ -94,12 +92,16 @@ def _node(at, t: float, kneading_depth: int,
                       tuple(flags))
 
 
-def _signature(F: MapFamily, t: float, kneading_depth: int,
-               relation_depth: int):
+def _require_in_domain(t: float, lo: float, hi: float) -> None:
+    if not lo <= t <= hi:
+        raise PreconditionError(
+            f"grid point t = {t!r} outside family domain [{lo}, {hi}]")
+
+
+def _signature(F: MapFamily, t: float, kneading_depth: int):
     try:  # only polynomial families are localized; the velocity is not needed
         f = family_eval(F, t)
-        return (kneading(f, kneading_depth),
-                critical_relations(f, relation_depth).relations)
+        return kneading(f, kneading_depth), critical_relations(f).relations
     except PreconditionError:
         return None
 
@@ -167,7 +169,7 @@ def _newton_crossing(F: MapFamily, t_lo: float, t_hi: float, i: int,
 
 
 def _localize(F: MapFamily, a: ScanRecord, b: ScanRecord, width: float,
-              sig_args: tuple) -> Transition:
+              kneading_depth: int) -> Transition:
     """Narrow the change between nodes a and b to at most ``width``.
 
     A kneading-only change with L/R at its first differing index i is a
@@ -186,8 +188,8 @@ def _localize(F: MapFamily, a: ScanRecord, b: ScanRecord, width: float,
         if t_star is not None:
             t_lo = max(a.t, t_star - 0.25 * width)
             t_hi = min(b.t, t_star + 0.25 * width)
-            sig_lo = _signature(F, t_lo, *sig_args)
-            sig_hi = _signature(F, t_hi, *sig_args)
+            sig_lo = _signature(F, t_lo, kneading_depth)
+            sig_hi = _signature(F, t_hi, kneading_depth)
             evaluations += 2
             if None not in (sig_lo, sig_hi) and sig_lo != sig_hi:
                 return Transition(t_lo, t_hi, 0.5 * (t_lo + t_hi),
@@ -199,7 +201,7 @@ def _localize(F: MapFamily, a: ScanRecord, b: ScanRecord, width: float,
         mid = 0.5 * (t_lo + t_hi)
         if not t_lo < mid < t_hi:
             break  # adjacent floats: a width below their spacing is unmet
-        sig_mid = _signature(F, mid, *sig_args)
+        sig_mid = _signature(F, mid, kneading_depth)
         evaluations += 1
         if sig_mid == sig_lo:
             t_lo = mid
@@ -220,7 +222,7 @@ def _changed(sig_a, sig_b) -> tuple[str, ...]:
 
 
 def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
-             relation_depth: int = RELATION_DEPTH, localize: bool = True,
+             localize: bool = True,
              width: float = TRANSITION_WIDTH) -> ScanResult:
     """Per-node diagnostics over a grid, with class-transition localization.
 
@@ -238,10 +240,9 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
     Depths, widths and grids that no scan could use are refused before any
     node is evaluated; the grid must increase strictly.
     """
-    if kneading_depth < 1 or relation_depth < 2:
+    if kneading_depth < 1:
         raise PreconditionError(
-            "kneading depth must be >= 1 and relation depth >= 2, got "
-            f"{kneading_depth} and {relation_depth}")
+            f"kneading depth must be >= 1, got {kneading_depth}")
     if not (math.isfinite(width) and width > 0.0):
         raise PreconditionError(
             f"transition width must be finite and > 0, got {width!r}")
@@ -266,9 +267,7 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
     else:
         grid = [float(t) for t in t_grid]
     for t in grid:
-        if not lo <= t <= hi:
-            raise PreconditionError(
-                f"grid point t = {t!r} outside family domain [{lo}, {hi}]")
+        _require_in_domain(t, lo, hi)
         if not continuous and t not in by_t:
             raise PreconditionError(
                 f"sampled family has no node at t = {t!r}")
@@ -279,9 +278,8 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
     if not grid:
         return ScanResult((), (), None, J_ZERO_TOL, True)
 
-    records = [_node(at, t, kneading_depth, relation_depth) for t in grid]
+    records = [_node(at, t, kneading_depth) for t in grid]
 
-    sig_args = (kneading_depth, relation_depth)
     transitions = []
     for a, b in zip(records, records[1:]):
         if a.classification == "error" or b.classification == "error":
@@ -290,7 +288,8 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
         if not kinds:
             continue
         if continuous and localize:
-            transitions.append(_localize(family, a, b, width, sig_args))
+            transitions.append(_localize(family, a, b, width,
+                                         kneading_depth))
         else:
             w = b.t - a.t
             transitions.append(Transition(

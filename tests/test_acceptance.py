@@ -17,12 +17,14 @@ import pexpand.functional as fn
 import pexpand.scan as scn
 from pexpand.maps import (
     GOLDEN_RATIO,
+    KNEADING_DEPTH,
     DirectionField,
     FamilyTerm,
     MapFamily,
     bump_field,
     full_tent,
     golden_tent,
+    kneading,
     lambda_of,
     odd_field,
     square_bump_field,
@@ -176,7 +178,8 @@ def test_criterion_06_horizontal_deformation(deformation):
     for s in tilde.samples:
         g = s.map
         worst_rel = max(worst_rel, abs(g.value(g.value(g.value(0.0)))))
-    kneading_const = tilde.drift_index is None
+    kneading_const = all(kneading(s.map, KNEADING_DEPTH) == tilde.kneading
+                         for s in tilde.samples)
     cont_gap = max(abs(n.theta - tr.node_at(n.t).b)
                    for n in deformation.cont.nodes)
     f0 = golden_tent()

