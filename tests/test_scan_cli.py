@@ -863,6 +863,30 @@ _PINNED = [
                    "ad18efab80af4b9aa3636134ff075468",
       "summary.json": "13a7569683d1b073ac621ada08421ab9"
                       "f04fb7c170edf0308d1e2e2b16dcfeb6"}),
+    ("validate", {"map": "golden_tent"},
+     {"validation.json": "73521f09d315e97a158680b59c35349a"
+                         "ac8e4993ad0fb2a86e0d810ce20f8422"}),
+    # an invalid map is a result: lambda is null, the checks say why
+    ("validate", {"map": {"slope": 0.9}},
+     {"validation.json": "c07122e42c2c4294fda7d8f260bc23aa"
+                         "8146650e43d93fcfa78423df8a7440a6"}),
+    ("j", {"map": "golden_tent", "field": "bump"},
+     {"j.json": "e24bc46c0bc07eeb7b01e604f47b502b"
+                "e9285931ca4a4f62985cbf7a76054a15"}),
+    ("horiz", {"map": "golden_tent", "v": "bump", "w": "odd"},
+     {"projection.json": "cb9d9166b351e7a17c7c832fdacf5315"
+                         "a135d5065e7a739156b3d8edc0060693"}),
+    ("conjugacy", {"f0": "golden_tent", "f1": "golden_tent", "count": 20},
+     {"report.json": "33c6b1244a9a88b7b99bdf3eaec96e0e"
+                     "03ccca34bdfa3f6cf00891f01b682a3b",
+      "table.csv": "2a73eb7324ed4448b901b4a0e5b7695b"
+                   "e25795741fd6c0b5436c8816d99b6d88"}),
+    # J(full tent, odd) = 0; w is the first transversal dictionary entry
+    ("cor51", {"map": "full_tent", "v": "odd"},
+     {"summary.json": "ef0d7d4f9d41768b11a024660361f7a1"
+                      "e2f09f585931ce496740211062fec2a2",
+      "trace.csv": "c3f19f22f98b7c7291adff5dae911a29"
+                   "3ba33b9ede0197553b2412f99386194c"}),
 ]
 
 
