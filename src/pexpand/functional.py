@@ -224,9 +224,13 @@ def alpha(f: PiecewiseMap, v: DirectionField, tol: float = ALPHA_TOL) -> AlphaSo
 
 
 def grid_size(n: int) -> int:
-    """n, refused unless a grid of n nodes can reach both of its ends."""
+    """n, refused unless a grid of n nodes can reach both of its ends and
+    holds at most MAX_TERMS nodes (checked before any grid is allocated)."""
     if n < 2:
         raise PreconditionError(f"a grid needs at least 2 points, got {n}")
+    if n > MAX_TERMS:
+        raise PreconditionError(
+            f"a grid holds at most MAX_TERMS={MAX_TERMS} points, got {n}")
     return n
 
 

@@ -1,4 +1,4 @@
-"""Config ingestion and deterministic flat-file emission.
+"""Config ingestion and deterministic flat-file writing.
 
 Output files are byte-stable for identical inputs: floats are written as
 their shortest round-trip decimal (repr), JSON keys are sorted, and
@@ -10,12 +10,9 @@ import math
 from contextlib import contextmanager
 from pathlib import Path
 
-from .conjugacy import ConjugacyReport, ConjugacyTable
-from .deform import DeformationTrace, PeriodicContinuation
 from .errors import PreconditionError
 from .maps import (BUILTIN_FIELDS, BUILTIN_MAPS, DirectionField, FamilyTerm,
-                   MapFamily, PiecewiseMap, ValidationReport, symmetric_tent)
-from .scan import ApproximationLadder, ScanResult
+                   MapFamily, PiecewiseMap, symmetric_tent)
 
 SCHEMA_VERSION = 1
 
@@ -111,7 +108,7 @@ def parse_family(node) -> MapFamily:
 
 
 # ---------------------------------------------------------------------------
-# emission
+# writing
 
 
 def _cell(value) -> str:
@@ -143,126 +140,13 @@ def write_json(path, payload: dict) -> Path:
     return path
 
 
-def _relations_cell(relations) -> str:
-    return ";".join(f"{i}-{j}" for i, j in relations)
-
-
-def _j_cell(value, candidates) -> str:
-    if value is not None:
-        return repr(value)
-    return "|".join(repr(c) for c in candidates)
-
-
-def emit_scan(result: ScanResult, out_dir) -> tuple[Path, Path]:
+def write_files(out_dir, files: dict) -> None:
+    """Make ``out_dir`` and write each {name: body} in it: a dict as JSON,
+    a (header, rows) pair as CSV."""
     out_dir = Path(out_dir)
-    rows = [(r.t, r.kneading, _relations_cell(r.relations),
-             _j_cell(r.j_value, r.j_candidates), r.j_tail,
-             r.classification, ";".join(r.flags)) for r in result.records]
-    csv = write_csv(out_dir / "records.csv",
-                    ("t", "kneading", "relations", "J", "J_tail", "class",
-                     "flags"), rows)
-    summary = write_json(out_dir / "summary.json", {
-        "nodes": len(result.records),
-        "transitions": [{
-            "t_lo": tr.t_lo, "t_hi": tr.t_hi, "t_star": tr.t_star,
-            "width": tr.width, "kinds": list(tr.kinds),
-            "localized": tr.localized, "method": tr.method,
-            "evaluations": tr.evaluations} for tr in result.transitions],
-        "max_abs_j": result.max_abs_j,
-        "threshold": result.threshold,
-        "consistent": result.consistent,
-        "in_class": result.in_class,
-    })
-    return csv, summary
-
-
-def emit_trace(trace: DeformationTrace, out_dir) -> tuple[Path, Path]:
-    out_dir = Path(out_dir)
-    rows = [(n.t, n.b, n.d, n.j_residual, n.relation_residual)
-            for n in trace.nodes]
-    csv = write_csv(out_dir / "trace.csv",
-                    ("t", "b", "d", "J_residual", "relation_residual"), rows)
-    summary = write_json(out_dir / "summary.json", {
-        "nodes": len(trace.nodes),
-        "slope0": trace.slope0,
-        "relation_period": trace.relation_period,
-        "canonical_relations": [list(r) for r in trace.canonical_relations],
-        "ode_tol": trace.ode_tol,
-        "max_j_residual": max((n.j_residual for n in trace.nodes),
-                              default=0.0),
-        "max_relation_residual": max(
-            (n.relation_residual for n in trace.nodes
-             if n.relation_residual is not None), default=None),
-        "clamped_nodes": sum(n.clamped for n in trace.nodes),
-        "boundary_nodes": sum(n.at_boundary for n in trace.nodes),
-        "truncated": [{"side": side, "reason": reason}
-                      for side, reason in trace.truncated],
-    })
-    return csv, summary
-
-
-def emit_continuation(cont: PeriodicContinuation, out_dir
-                      ) -> tuple[Path, Path]:
-    out_dir = Path(out_dir)
-    rows = [(n.t, n.theta, n.slope, n.residual, n.newton_iterations)
-            for n in cont.nodes]
-    csv = write_csv(out_dir / "continuation.csv",
-                    ("t", "theta", "slope", "residual",
-                     "newton_iterations"), rows)
-    summary = write_json(out_dir / "summary.json", {
-        "period": cont.p,
-        "theta0": cont.theta0,
-        "nodes": len(cont.nodes),
-        "max_residual": max((n.residual for n in cont.nodes), default=0.0),
-        "max_fd_slope_gap": max(cont.fd_slope_gaps(), default=0.0),
-        "truncated": [{"side": side, "reason": reason}
-                      for side, reason in cont.truncated],
-    })
-    return csv, summary
-
-
-def emit_table(table: ConjugacyTable, report: ConjugacyReport,
-               out_dir) -> tuple[Path, Path]:
-    out_dir = Path(out_dir)
-    rows = [(e.x, e.y, table.depth, e.bound, res)
-            for e, res in zip(table.entries, report.residuals)]
-    csv = write_csv(out_dir / "table.csv",
-                    ("x", "h", "depth", "bound", "residual"), rows)
-    summary = write_json(out_dir / "report.json", {
-        "passed": report.passed,
-        "max_residual": report.max_residual,
-        "argmax": report.argmax,
-        "monotonic": report.monotonic,
-        "coverage": report.coverage,
-        "unmatched": report.unmatched,
-        "vacuous": report.vacuous,
-        "depth": table.depth,
-    })
-    return csv, summary
-
-
-def emit_ladder(ladder: ApproximationLadder, out_dir) -> tuple[Path, Path]:
-    out_dir = Path(out_dir)
-    rows = [(r.period, r.theta0, r.distance, len(r.continuation.nodes))
-            for r in ladder.rungs]
-    csv = write_csv(out_dir / "ladder.csv",
-                    ("period", "theta0", "distance", "nodes"), rows)
-    summary = write_json(out_dir / "summary.json", {
-        "rungs": len(ladder.rungs),
-        "decreasing": ladder.decreasing,
-        "partial": ladder.partial,
-        "base_period": ladder.base_period,
-        "distances": [r.distance for r in ladder.rungs],
-    })
-    return csv, summary
-
-
-def emit_validation(report: ValidationReport, out_dir) -> Path:
-    out_dir = Path(out_dir)
-    return write_json(out_dir / "validation.json", {
-        "valid": report.passed,
-        "lambda": report.lambda_f,
-        "critical_value": report.critical_value,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail,
-                    "witness": c.witness} for c in report.checks],
-    })
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, body in files.items():
+        if isinstance(body, dict):
+            write_json(out_dir / name, body)
+        else:
+            write_csv(out_dir / name, *body)

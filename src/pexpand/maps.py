@@ -650,10 +650,12 @@ class DirectionField:
 
     def c_norm(self, order: int) -> float:
         """The C^order norm, max over m <= order of sup |D^m v| over I, each
-        sup exact: taken at the branch ends and D^m v's stationary points."""
+        sup exact: taken at the branch ends and D^m v's stationary points.
+        D^m v is 0 above the branches' degree, so no higher m is read."""
+        top = min(order, max(len(self.left), len(self.right)) - 1)
         return float(max(abs(_pval(d, x)) for c, lo, hi in (
             (self.left, -1.0, 0.0), (self.right, 0.0, 1.0))
-            for d in (_der(c, m) for m in range(order + 1))
+            for d in (_der(c, m) for m in range(top + 1))
             for x in (lo, hi, *_stationary(d, lo, hi))))
 
     @cached_property

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from pexpand import (
 )
 from pexpand.maps import (
     BOUNDARY_SLACK,
+    BUILTIN_FIELDS,
     ENDPOINT_TOL,
     GOLDEN_RATIO,
     MEMO_SIZE,
@@ -402,6 +404,16 @@ class TestDirectionField:
         xs = np.linspace(0.0, 1.0, 2048)
         grid = float(np.max(np.abs(np.polyval(np.polyder(right[::-1]), xs))))
         assert grid < got
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FIELDS))
+    def test_c_norm_reads_no_order_above_the_degree(self, name):
+        # D^m v = 0 above the degree, so a map's k of 10**6 costs no more
+        # than its degree
+        v = BUILTIN_FIELDS[name]()
+        degree = max(len(v.left), len(v.right)) - 1
+        start = time.perf_counter()
+        assert v.c_norm(10 ** 6) == v.c_norm(degree)
+        assert time.perf_counter() - start < 0.1
 
     def test_scale_add(self):
         v = bump_field().scale(2.0).add(odd_field())

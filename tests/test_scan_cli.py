@@ -4,7 +4,10 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,7 +392,7 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 1
 
     def test_consistency_failure_exits_2(self, tmp_path, monkeypatch):
-        def boom(cfg, out, args):
+        def boom(cfg, args):
             raise InternalConsistencyError("forced")
         _, text, flags = cli._COMMANDS["j"]
         monkeypatch.setitem(cli._COMMANDS, "j", (boom, text, flags))
@@ -397,6 +400,7 @@ class TestCli:
                          {"map": "golden_tent", "field": "bump"})
         assert cli.main(["j", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()  # no result, no output
 
     def test_j_output(self, tmp_path):
         cfg = _write_cfg(tmp_path / "c.json",
@@ -685,7 +689,7 @@ def test_malformed_config_exits_1(tmp_path, capsys, cmd, payload):
     err = capsys.readouterr().err
     assert err.startswith(f"pexpand {cmd}: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert not any(out.iterdir())  # refused before any output
+    assert not out.exists()  # refused before any output
 
 
 @pytest.mark.parametrize("cmd, payload", [
@@ -705,7 +709,7 @@ def test_fractional_integer_entry_exits_1(tmp_path, capsys, cmd, payload):
     assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"pexpand {cmd}: ") and "is not an integer" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_integral_float_entry_accepted(tmp_path):
@@ -782,7 +786,7 @@ def test_conjugacy_search_sizes_refused_at_once(tmp_path, capsys, payload,
     assert err.startswith(f"pexpand conjugacy: max_period must be >= 1 "
                           f"and <= {mp.P_MAX} and depth >= 1, got ")
     assert err.count("\n") == 1
-    assert list((tmp_path / "o").iterdir()) == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_conjugacy_residuals_computed_once(tmp_path, monkeypatch):
@@ -814,7 +818,7 @@ def test_continue_refuses_lower_period_at_centre(tmp_path, capsys):
     assert cli.main(["continue", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
     assert "has prime period 3 < 6" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "continuation.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def _digests(out) -> dict:
@@ -911,3 +915,63 @@ def test_scan_refuses_tol(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "pexpand: unrecognized arguments: --tol=1e-6\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_cor52_map_k_costs_no_more_than_its_degree(tmp_path):
+    # the ladder's distances read w's C^{k-1} norm, whose orders above the
+    # field's degree are 0: k = 10**6 writes the ladder of k = 3, at once
+    family = {"base": {"slope": 2.0, "k": 10 ** 6},
+              "terms": [{"field": "odd"}]}
+    cfg = _write_cfg(tmp_path / "c.json", {"family": family, "w": "bump"})
+    start = time.perf_counter()
+    assert cli.main(["cor52", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+    assert time.perf_counter() - start < 1.0
+    (ladder,) = [d["ladder.csv"] for cmd, _, d in _PINNED if cmd == "cor52"]
+    assert _digests(tmp_path / "o")["ladder.csv"] == ladder
+
+
+@pytest.mark.parametrize("cmd, payload, flags", [
+    ("alpha", {"map": "golden_tent", "field": "bump",
+               "n": mp.MAX_TERMS + 1}, []),
+    ("alpha", {"map": "golden_tent", "field": "bump"},
+     ["--grid", str(mp.MAX_TERMS + 1)]),
+    ("scan", {"family": _FAMILY, "grid": {"n": mp.MAX_TERMS + 1}}, []),
+    ("scan", {"family": _FAMILY}, ["--grid", str(mp.MAX_TERMS + 1)]),
+], ids=["alpha-n", "alpha-flag", "scan-n", "scan-flag"])
+def test_grid_above_max_terms_refused_before_allocation(
+        tmp_path, capsys, cmd, payload, flags):
+    cfg = _write_cfg(tmp_path / "c.json", payload)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert cli.main([cmd, "--config", cfg,
+                         "--out", str(tmp_path / "o")] + flags) == 1
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 8 * mp.MAX_TERMS  # less than one float grid of that size
+    assert capsys.readouterr().err == (
+        f"pexpand {cmd}: a grid holds at most MAX_TERMS={mp.MAX_TERMS} "
+        f"points, got {mp.MAX_TERMS + 1}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def _readme_outputs() -> dict:
+    """README's CLI table: {command: {file names in its outputs column}}."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("| outputs |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\|.*\|(.*)\|$", table, re.M)
+    return {cmd: set(re.findall(r"`([\w.]+)`", cell)) for cmd, cell in rows}
+
+
+def test_readme_lists_every_command_and_its_files():
+    # test_emitted_bytes_pinned runs each command and pins every file it
+    # writes, so the names pinned there are the names a run writes
+    outputs = _readme_outputs()
+    assert set(outputs) == set(cli._COMMANDS) == {p[0] for p in _PINNED}
+    for cmd, _, digests in _PINNED:
+        assert set(digests) == outputs[cmd], cmd
