@@ -314,6 +314,28 @@ class TestPeriodicRoots:
         bounds = [e for _, _, e in cj._periodic_roots(golden, 8)]
         assert 0.0 < max(bounds) < 1e-13
 
+    # SHA-256 of the search's (root, q, enclosure) float.hex triples, one a
+    # line: the bisection may be reorganized, but not move a bit of these.
+    # On golden and curved_not_good two brackets near c reach the 60th
+    # halving unconverged (at q = 3); the rest converge by then.
+    @pytest.mark.parametrize("f, max_period, digest", [
+        (mp.golden_tent(), 8, "e2aca15a7e9014e9ed4cdbff2d7cf918"
+                              "2ebb4244a6296da3208643c710b14386"),
+        (mp.full_tent(), 8, "51aef5f1233902cdc43bd1f04b6c1029"
+                            "b518e6bbf9567fa7f4bb73474e0dd5d3"),
+        (QUARTIC, 8, "a13ad931f0cccdbae593873656bd1105"
+                     "8eaa832212de2f3b6d26842f32fb39a4"),
+        (mp.curved_not_good(), 10, "58fa9fbe2a4961d8305d338c57c2952a"
+                                   "95c0c8bf59f32a35fda58e8ea6da682f"),
+        (mp.full_tent(), 12, "cee62acfd5e62c9f374a13c234e12d06"
+                             "c924f3a4f404b364ce119297f128a55f"),
+    ], ids=["golden-8", "full-8", "quartic-8", "curved_not_good-10",
+            "full-12"])
+    def test_enclosures_pinned(self, f, max_period, digest):
+        text = "".join(f"{r.hex()} {q} {e.hex()}\n"
+                       for r, q, e in cj._periodic_roots(f, max_period))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestTableCost:
     @pytest.mark.parametrize("target", ["golden", "tent"])
