@@ -240,13 +240,14 @@ def verify_conjugacy(f0: PiecewiseMap, f1: PiecewiseMap,
 
 def _periodic_roots(f: PiecewiseMap, max_period: int, grid_n: int = 40001,
                     ) -> list[tuple[float, int, float]]:
-    """All solutions of f^q(x) = x, q <= max_period, by grid sign changes.
+    """Solutions of f^q(x) = x, q <= max_period, by grid sign changes.
 
     |Df^q| > 1 rules out tangential roots, so every root is a transversal
-    crossing of the diagonal; the grid only has to be finer than the lap
-    width (~ lambda^-q).  One q's brackets are bisected as one array
-    through f.value, bit for bit a scalar bisection, until no midpoint
-    moves.  Returns (root, prime period, enclosure): q increases, so a
+    crossing of the diagonal, and the search finds them all while the laps
+    of f^q (~ lambda^-q wide) are wider than the grid step: on the full
+    tent through q = 9, but not at 10.  Consecutive periods' brackets are
+    bisected as one array (see _bisect_periods).  Returns (root, prime
+    period, enclosure): q increases, so a
     point first appears at its prime period and later stages dedupe.
     |D(f^q - id)| >= lambda^q - 1 on a lap, whence the enclosure.
     """
@@ -264,32 +265,82 @@ def _periodic_roots(f: PiecewiseMap, max_period: int, grid_n: int = 40001,
         if all(abs(s - r) >= 1e-9 for s, _, _ in roots[max(j - 1, 0):j + 1]):
             roots.insert(j, (r, q, bound))
 
+    # group: (q, bracket count, exact grid hits x and g) of consecutive
+    # periods, bisected at once while a halving's f steps, sum q * count,
+    # stay within the xs.size of one grid step (longer arrays fall out of
+    # cache); blocks: their brackets, rows lo, hi and glo = f^q(lo) - lo
+    group, blocks = [], []
+
+    def settle():
+        out = np.concatenate(blocks[::-1], axis=1)   # longest period first
+        blocks.clear()
+        _bisect_periods(f, [sum(n for q, n, _, _ in group if q >= s)
+                            for s in range(2, group[-1][0] + 1)], out)
+        # add keeps the first of two nearby roots, so they go in as a
+        # search one period at a time adds them: q ascending, each q's
+        # exact grid hits first, then its brackets in grid order
+        end = out.shape[1]
+        for q, n, hit_x, hit_g in group:
+            slack = err * sum(lip ** k for k in range(q)) + EPS
+            scale = 1.0 / (lam ** q - 1.0)
+            for x, g in zip(hit_x.tolist(), hit_g.tolist()):
+                add(x, q, (abs(g) + slack) * scale)
+            for r, w, res in zip(*out[:, end - n:end].tolist()):
+                add(r, q, w + (res + slack) * scale)
+            end -= n
+        group.clear()
+
     ys = xs.copy()
     for q in range(1, max_period + 1):
         ys = _on_branches(f.left, f.right, ys)
         g = ys - xs
-        slack = err * sum(lip ** k for k in range(q)) + EPS
-        scale = 1.0 / (lam ** q - 1.0)
-        for i in np.flatnonzero(np.abs(g) < 1e-13):
-            add(float(xs[i]), q, (abs(float(g[i])) + slack) * scale)
         i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
-        lo, hi, glo = xs[i], xs[i + 1], g[i]
-        for k in range(61):
-            mid = gm = 0.5 * (lo + hi)
-            for _ in range(q):
-                gm = f.value(gm)
-            gm = gm - mid
-            # once every midpoint is its lo or hi, no bracket moves again:
-            # mid is the 0.5 (lo + hi) that 60 scalar halvings end with
-            if k == 60 or ((mid == lo) | (mid == hi)).all():
-                break
-            left = glo * gm <= 0.0
-            hi = np.where(left, mid, hi)
-            lo, glo = np.where(left, lo, mid), np.where(left, glo, gm)
-        for r, w, res in zip(mid.tolist(), (hi - lo).tolist(),
-                             np.abs(gm).tolist()):
-            add(r, q, w + (res + slack) * scale)
+        if sum(p * n for p, n, _, _ in group) + q * i.size > xs.size:
+            settle()
+        hit = np.flatnonzero(np.abs(g) < 1e-13)
+        group.append((q, i.size, xs[hit], g[hit]))
+        blocks.append(np.array((xs[i], xs[i + 1], g[i])))
+    settle()
     return roots
+
+
+def _bisect_periods(f: PiecewiseMap, reach: list[int], out: np.ndarray):
+    """Bisect the brackets in the columns of out, rows lo, hi and glo =
+    f^q(lo) - lo, as one array, and overwrite each column with its mid,
+    hi - lo and |f^q(mid) - mid|.  The columns are ordered by q, longest
+    first, and reach[s - 2] of them have q >= s, for s = 2 .. max q.
+
+    Step s of f^q is then one f.value over the prefix whose q >= s, so a
+    halving costs max q array calls, not sum q, and each bracket still
+    takes q elementwise steps.  A bracket retires in the halving where its
+    midpoint is its lo or hi, or at the 60th.  Once a midpoint stops
+    moving, later halvings leave its mid, hi - lo and f^q(mid) as they are
+    (glo is never 0 and keeps its sign, and glo * g(hi) <= 0), so each
+    result has the bits of a scalar bisection of 60 halvings, and none
+    depends on the other brackets.  A column is written as its bracket
+    retires, after its last read.
+    """
+    lo, hi, glo = out
+    at = np.arange(lo.size)      # the active brackets' columns, ascending
+    for k in range(61):
+        if not at.size:
+            return
+        mid = 0.5 * (lo + hi)
+        gm = f.value(mid)
+        for m in np.searchsorted(at, reach).tolist():
+            if not m:
+                break
+            gm[:m] = f.value(gm[:m])
+        gm -= mid
+        done = (mid == lo) | (mid == hi) | (k == 60)
+        if done.any():
+            out[:, at[done]] = mid[done], (hi - lo)[done], np.abs(gm[done])
+            keep = ~done
+            lo, hi, glo, gm, mid, at = (
+                a[keep] for a in (lo, hi, glo, gm, mid, at))
+        left = glo * gm <= 0.0
+        hi = np.where(left, mid, hi)
+        lo, glo = np.where(left, lo, mid), np.where(left, glo, gm)
 
 
 def _periodic_points(f: PiecewiseMap, max_period: int,

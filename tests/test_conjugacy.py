@@ -299,6 +299,17 @@ def _scalar_roots(f, max_period, grid_n=40001):
     return sorted(roots)
 
 
+def _full_tent_points(max_period):
+    """Points of period <= max_period of the full tent.  f^p has 2^p laps,
+    each crossing the diagonal once, so 2^p points have a period dividing p;
+    those of prime period p are what the proper divisors leave (Moebius
+    inversion): 2, 2, 6, 12, ..., 472 in all at 8, 8032 at 12."""
+    prime = {}
+    for p in range(1, max_period + 1):
+        prime[p] = 2 ** p - sum(prime[d] for d in range(1, p) if p % d == 0)
+    return sum(prime.values())
+
+
 QUARTIC = mp.golden_tent().add_scaled(mp.square_bump_field(), 0.05)
 
 
@@ -309,6 +320,28 @@ class TestPeriodicRoots:
         assert mp.validate(f).passed
         batched = [(r.hex(), q) for r, q, _ in cj._periodic_roots(f, 8)]
         assert batched == [(r.hex(), q) for r, q in _scalar_roots(f, 8)]
+
+    def test_value_calls_per_halving(self, golden, monkeypatch):
+        # one f.value array call per step of the longest period left, so at
+        # most max_period per halving for 61 halvings; one call per step of
+        # every period would be sum q = 36 per halving (1644 in all)
+        arrays = []
+        real = mp.PiecewiseMap.value
+        monkeypatch.setattr(
+            mp.PiecewiseMap, "value",
+            lambda f, x: arrays.append(isinstance(x, np.ndarray)) or real(f, x))
+        cj._periodic_roots(golden, 8)
+        assert sum(arrays) <= 61 * 8
+
+    @pytest.mark.parametrize("max_period", [*range(1, 10), *(
+        pytest.param(p, marks=pytest.mark.xfail(strict=True, reason=(
+            "the laps of f^q, 2^(1-q) wide, are narrower than the grid "
+            "step from q = 10 (1948 of 1966 points found at 10, 7758 of "
+            "8032 at 12); ROADMAP item 2 takes the roots from the laps")))
+        for p in (10, 12))])
+    def test_complete_on_full_tent(self, tent, max_period):
+        roots = cj._periodic_roots(tent, max_period)
+        assert len(roots) == _full_tent_points(max_period)
 
     def test_enclosures_small(self, golden):
         bounds = [e for _, _, e in cj._periodic_roots(golden, 8)]
