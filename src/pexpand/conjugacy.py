@@ -247,9 +247,9 @@ def _periodic_roots(f: PiecewiseMap, max_period: int, grid_n: int = 40001,
     of f^q (~ lambda^-q wide) are wider than the grid step: on the full
     tent through q = 9, but not at 10.  Consecutive periods' brackets are
     bisected as one array (see _bisect_periods).  Returns (root, prime
-    period, enclosure): q increases, so a
-    point first appears at its prime period and later stages dedupe.
-    |D(f^q - id)| >= lambda^q - 1 on a lap, whence the enclosure.
+    period, enclosure): q increases, so a point first appears at its prime
+    period and later stages dedupe.  |D(f^q - id)| >= lambda^q - 1 on a
+    lap, whence the enclosure.
     """
     xs = np.linspace(-1.0, 1.0, grid_n)
     lam = lambda_of(f)
