@@ -362,8 +362,12 @@ class TestPeriodicRoots:
                                    "95c0c8bf59f32a35fda58e8ea6da682f"),
         (mp.full_tent(), 12, "cee62acfd5e62c9f374a13c234e12d06"
                              "c924f3a4f404b364ce119297f128a55f"),
+        (mp.golden_tent(), 24, "1c83d4676febb9193f34df53c7530889"
+                               "7508c88fcdc176b0be3c2e2cd6b57e1b"),
+        (mp.full_tent(), 16, "7ddfa424cd223b52e4ed32077a1dddb4"
+                             "a11ed98a638fb49aae31495c7291f8f1"),
     ], ids=["golden-8", "full-8", "quartic-8", "curved_not_good-10",
-            "full-12"])
+            "full-12", "golden-24", "full-16"])
     def test_enclosures_pinned(self, f, max_period, digest):
         text = "".join(f"{r.hex()} {q} {e.hex()}\n"
                        for r, q, e in cj._periodic_roots(f, max_period))
