@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPointError, OrbitRefusedError, PreconditionError
-from .maps import (P_MAX, TOL_C, PiecewiseMap, itinerary, lambda_of,
-                   _on_branches, _pval)
+from .maps import (MAX_TERMS, P_MAX, TOL_C, PiecewiseMap, itinerary,
+                   lambda_of, _on_branches, _pval)
 
 INVERSE_TOL = 1e-13
 INVERSE_MAX_ITER = 80
@@ -245,11 +245,13 @@ def _periodic_roots(f: PiecewiseMap, max_period: int, grid_n: int = 40001,
     |Df^q| > 1 rules out tangential roots, so every root is a transversal
     crossing of the diagonal, and the search finds them all while the laps
     of f^q (~ lambda^-q wide) are wider than the grid step: on the full
-    tent through q = 9, but not at 10.  Consecutive periods' brackets are
-    bisected as one array (see _bisect_periods).  Returns (root, prime
-    period, enclosure): q increases, so a point first appears at its prime
-    period and later stages dedupe.  |D(f^q - id)| >= lambda^q - 1 on a
-    lap, whence the enclosure.
+    tent through q = 9, but not at 10.  Three stages: bracket each q (its
+    exact grid hits and sign changes), bisect all periods' brackets in one
+    _bisect_periods call, and keep the first of any roots within 1e-9 of
+    each other in one ordered pass: q ascending, each q's hits and then its
+    brackets, each in grid order, so a point first appears at its prime
+    period.  Returns (root, prime period, enclosure), sorted by root.
+    |D(f^q - id)| >= lambda^q - 1 on a lap, whence the enclosure.
     """
     xs = np.linspace(-1.0, 1.0, grid_n)
     lam = lambda_of(f)
@@ -258,79 +260,66 @@ def _periodic_roots(f: PiecewiseMap, max_period: int, grid_n: int = 40001,
     err = max(len(c) * EPS * sum(map(abs, c)) for c in (f.left, f.right))
     lip = max(sum(j * abs(a) for j, a in enumerate(c))
               for c in (f.left, f.right))
-    roots: list[tuple[float, int, float]] = []   # kept sorted
-
-    def add(r: float, q: int, bound: float):
-        j = bisect.bisect_left(roots, (r,))
-        if all(abs(s - r) >= 1e-9 for s, _, _ in roots[max(j - 1, 0):j + 1]):
-            roots.insert(j, (r, q, bound))
-
-    # group: (q, bracket count, exact grid hits x and g) of consecutive
-    # periods, bisected at once while a halving's f steps, sum q * count,
-    # stay within the xs.size of one grid step (longer arrays fall out of
-    # cache); blocks: their brackets, rows lo, hi and glo = f^q(lo) - lo
-    group, blocks = [], []
-
-    def settle():
-        out = np.concatenate(blocks[::-1], axis=1)   # longest period first
-        blocks.clear()
-        _bisect_periods(f, [sum(n for q, n, _, _ in group if q >= s)
-                            for s in range(2, group[-1][0] + 1)], out)
-        # add keeps the first of two nearby roots, so they go in as a
-        # search one period at a time adds them: q ascending, each q's
-        # exact grid hits first, then its brackets in grid order
-        end = out.shape[1]
-        for q, n, hit_x, hit_g in group:
-            slack = err * sum(lip ** k for k in range(q)) + EPS
-            scale = 1.0 / (lam ** q - 1.0)
-            for x, g in zip(hit_x.tolist(), hit_g.tolist()):
-                add(x, q, (abs(g) + slack) * scale)
-            for r, w, res in zip(*out[:, end - n:end].tolist()):
-                add(r, q, w + (res + slack) * scale)
-            end -= n
-        group.clear()
-
+    # each q's exact grid hits, as brackets of width 0 and residual |g|,
+    # and its sign changes, rows lo, hi and glo = f^q(lo) - lo
+    hits, brackets = [], []
     ys = xs.copy()
     for q in range(1, max_period + 1):
         ys = _on_branches(f.left, f.right, ys)
         g = ys - xs
+        h = np.flatnonzero(np.abs(g) < 1e-13)
         i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
-        if sum(p * n for p, n, _, _ in group) + q * i.size > xs.size:
-            settle()
-        hit = np.flatnonzero(np.abs(g) < 1e-13)
-        group.append((q, i.size, xs[hit], g[hit]))
-        blocks.append(np.array((xs[i], xs[i + 1], g[i])))
-    settle()
+        hits.append(np.array((xs[h], np.zeros(h.size), np.abs(g[h]))))
+        brackets.append(np.array((xs[i], xs[i + 1], g[i])))
+    roots: list[tuple[float, int, float]] = []   # sorted between batches
+    for q, hit, found in zip(range(1, max_period + 1), hits,
+                             _bisect_periods(f, brackets)):
+        slack = err * sum(lip ** k for k in range(q)) + EPS
+        scale = 1.0 / (lam ** q - 1.0)
+        # each batch ascends, so a root only needs checking against the
+        # kept roots beside it and the last one its batch kept
+        for batch in (hit, found):
+            new: list[tuple[float, int, float]] = []
+            for x, w, r in zip(*batch.tolist()):
+                j = bisect.bisect_left(roots, (x,))
+                if (not new or x - new[-1][0] >= 1e-9) and all(
+                        abs(s - x) >= 1e-9
+                        for s, _, _ in roots[max(j - 1, 0):j + 1]):
+                    new.append((x, q, w + (r + slack) * scale))
+            roots += new
+            roots.sort()
     return roots
 
 
-def _bisect_periods(f: PiecewiseMap, reach: list[int], out: np.ndarray):
-    """Bisect the brackets in the columns of out, rows lo, hi and glo =
-    f^q(lo) - lo, as one array, and overwrite each column with its mid,
-    hi - lo and |f^q(mid) - mid|.  The columns are ordered by q, longest
-    first, and reach[s - 2] of them have q >= s, for s = 2 .. max q.
+def _bisect_periods(f: PiecewiseMap,
+                    brackets: list[np.ndarray]) -> list[np.ndarray]:
+    """Bisect all periods' brackets as one array: brackets[q - 1] holds
+    period q's in its columns, rows lo, hi and glo = f^q(lo) - lo.  Returns
+    each period's columns as mid, hi - lo and |f^q(mid) - mid|.
 
-    Step s of f^q is then one f.value over the prefix whose q >= s, so a
-    halving costs max q array calls, not sum q, and each bracket still
-    takes q elementwise steps.  A bracket retires in the halving where its
-    midpoint is its lo or hi, or at the 60th.  Once a midpoint stops
-    moving, later halvings leave its mid, hi - lo and f^q(mid) as they are
-    (glo is never 0 and keeps its sign, and glo * g(hi) <= 0), so each
-    result has the bits of a scalar bisection of 60 halvings, and none
-    depends on the other brackets.  A column is written as its bracket
-    retires, after its last read.
+    The columns are laid out q ascending, so step s of f^q is one f.value
+    over the suffix whose q >= s: a halving costs max q array calls, not
+    sum q, and each bracket still takes q elementwise steps.  A bracket
+    retires in the halving where its midpoint is its lo or hi, or at the
+    60th.  Once a midpoint stops moving, later halvings leave its mid,
+    hi - lo and f^q(mid) as they are (glo is never 0 and keeps its sign,
+    and glo * g(hi) <= 0), so each result has the bits of a scalar
+    bisection of 60 halvings, and none depends on the other brackets.  A
+    column is overwritten as its bracket retires, after its last read.
     """
+    out = np.concatenate(brackets, axis=1)
+    starts = np.cumsum([b.shape[1] for b in brackets[:-1]])
     lo, hi, glo = out
     at = np.arange(lo.size)      # the active brackets' columns, ascending
     for k in range(61):
         if not at.size:
-            return
+            break
         mid = 0.5 * (lo + hi)
         gm = f.value(mid)
-        for m in np.searchsorted(at, reach).tolist():
-            if not m:
+        for m in np.searchsorted(at, starts).tolist():
+            if m == at.size:
                 break
-            gm[:m] = f.value(gm[:m])
+            gm[m:] = f.value(gm[m:])
         gm -= mid
         done = (mid == lo) | (mid == hi) | (k == 60)
         if done.any():
@@ -341,16 +330,18 @@ def _bisect_periods(f: PiecewiseMap, reach: list[int], out: np.ndarray):
         left = glo * gm <= 0.0
         hi = np.where(left, mid, hi)
         lo, glo = np.where(left, lo, mid), np.where(left, glo, gm)
+    return np.split(out, starts, axis=1)
 
 
 def _periodic_points(f: PiecewiseMap, max_period: int,
                      depth: int) -> list[tuple[float, str, float]]:
     """(point, depth-word, enclosure), one per L/R word; periods outside
-    [1, P_MAX] and depths below 1 are refused before any orbit is walked."""
-    if not (1 <= max_period <= P_MAX and depth >= 1):
+    [1, P_MAX] and depths outside [1, MAX_TERMS] are refused before any
+    orbit is walked."""
+    if not (1 <= max_period <= P_MAX and 1 <= depth <= MAX_TERMS):
         raise PreconditionError(
-            f"max_period must be >= 1 and <= {P_MAX} and depth >= 1, got "
-            f"{max_period} and {depth}")
+            f"max_period must be >= 1 and <= {P_MAX} and depth >= 1 and <= "
+            f"MAX_TERMS={MAX_TERMS}, got {max_period} and {depth}")
     # only the first q symbols are read off the orbit; the rest is the
     # periodic extension (forward iteration of a double root garbles
     # symbols once lambda^i swallows the last bits of precision).

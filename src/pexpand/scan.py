@@ -12,10 +12,10 @@ from .deform import (DeformationTrace, PeriodicContinuation,
 from .errors import (InternalConsistencyError, NewtonDivergenceError,
                      PreconditionError)
 from .functional import default_tol_w, j_functional
-from .maps import (KNEADING_DEPTH, P_MAX, DirectionField, FamilyTerm,
-                   MapFamily, PiecewiseMap, aux_dictionary, critical_relations,
-                   detect_periodic_critical, family_eval, family_velocity,
-                   iterates, kneading)
+from .maps import (KNEADING_DEPTH, MAX_TERMS, P_MAX, DirectionField,
+                   FamilyTerm, MapFamily, PiecewiseMap, aux_dictionary,
+                   critical_relations, detect_periodic_critical, family_eval,
+                   family_velocity, iterates, kneading)
 
 J_ZERO_TOL = 1e-7        # |J| below this floor counts as "vanishes"
 TRANSITION_WIDTH = 1e-8
@@ -240,9 +240,10 @@ def run_scan(family, t_grid=None, *, kneading_depth: int = KNEADING_DEPTH,
     Depths, widths and grids that no scan could use are refused before any
     node is evaluated; the grid must increase strictly.
     """
-    if kneading_depth < 1:
+    if not 1 <= kneading_depth <= MAX_TERMS:
         raise PreconditionError(
-            f"kneading depth must be >= 1, got {kneading_depth}")
+            f"kneading depth must be >= 1 and <= MAX_TERMS={MAX_TERMS}, "
+            f"got {kneading_depth}")
     if not (math.isfinite(width) and width > 0.0):
         raise PreconditionError(
             f"transition width must be finite and > 0, got {width!r}")
@@ -432,8 +433,7 @@ def continuation_ladder(F: MapFamily, w: DirectionField | None = None, *,
                         cand = find_periodic_theta(F, w, p, theta0=seed)
                     except (PreconditionError, NewtonDivergenceError):
                         continue
-                    if cand.period == p and (
-                            prev is None or abs(cand.theta) < abs(prev)):
+                    if prev is None or abs(cand.theta) < abs(prev):
                         root = cand
                         break
                 if root is not None:

@@ -321,17 +321,21 @@ class TestPeriodicRoots:
         batched = [(r.hex(), q) for r, q, _ in cj._periodic_roots(f, 8)]
         assert batched == [(r.hex(), q) for r, q in _scalar_roots(f, 8)]
 
-    def test_value_calls_per_halving(self, golden, monkeypatch):
+    def test_value_calls_per_halving(self, golden, tent, monkeypatch):
         # one f.value array call per step of the longest period left, so at
-        # most max_period per halving for 61 halvings; one call per step of
-        # every period would be sum q = 36 per halving (1644 in all)
+        # most max_period per halving for 61 halvings, however many periods
+        # there are; one call per step of every period would be sum q = 36
+        # per halving at 8 (1644 in all), and bisecting the periods in
+        # groups pays max q per group (1675 at full-12, 11 026 at golden-24)
         arrays = []
         real = mp.PiecewiseMap.value
         monkeypatch.setattr(
             mp.PiecewiseMap, "value",
             lambda f, x: arrays.append(isinstance(x, np.ndarray)) or real(f, x))
-        cj._periodic_roots(golden, 8)
-        assert sum(arrays) <= 61 * 8
+        for f, max_period in ((golden, 8), (tent, 12), (golden, 24)):
+            arrays.clear()
+            cj._periodic_roots(f, max_period)
+            assert sum(arrays) <= 61 * max_period, max_period
 
     @pytest.mark.parametrize("max_period", [*range(1, 10), *(
         pytest.param(p, marks=pytest.mark.xfail(strict=True, reason=(

@@ -100,7 +100,8 @@ class TestRunScan:
         {"kneading_depth": 0}, {"kneading_depth": -2},
         {"t_grid": [0.0, 0.05]}, {"width": 0.0}, {"width": -1.0},
         {"width": float("nan")}, {"width": float("inf")},
-        {"t_grid": [0.01, 0.0]}, {"t_grid": [0.0, 0.01, 0.01]}])
+        {"t_grid": [0.01, 0.0]}, {"t_grid": [0.0, 0.01, 0.01]},
+        {"kneading_depth": mp.MAX_TERMS + 1}])
     def test_unusable_depths_refused_before_any_node(
             self, transversal_family, monkeypatch, depths):
         def no_node(*args):
@@ -771,11 +772,13 @@ def test_period_above_p_max_exits_1_at_once(tmp_path, capsys, cmd, payload):
 @pytest.mark.parametrize("payload, flags", [
     ({"max_period": 0}, []), ({"max_period": mp.P_MAX + 1}, []),
     ({"max_period": 10 ** 8}, []), ({}, ["--depth", "0"]),
-], ids=["period-0", "period-65", "period-1e8", "depth-0"])
+    ({}, ["--depth", str(mp.MAX_TERMS + 1)]),
+], ids=["period-0", "period-65", "period-1e8", "depth-0", "depth-max-terms"])
 def test_conjugacy_search_sizes_refused_at_once(tmp_path, capsys, payload,
                                                 flags):
     # the periodic-point search refuses what it could not use before it
-    # walks an orbit: a period above P_MAX would run for minutes
+    # walks an orbit: a period above P_MAX would run for minutes, and a
+    # depth above MAX_TERMS grows every word without bound
     cfg = _write_cfg(tmp_path / "c.json", {
         "f0": "golden_tent", "f1": "golden_tent", **payload})
     start = time.perf_counter()
@@ -784,7 +787,8 @@ def test_conjugacy_search_sizes_refused_at_once(tmp_path, capsys, payload,
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith(f"pexpand conjugacy: max_period must be >= 1 "
-                          f"and <= {mp.P_MAX} and depth >= 1, got ")
+                          f"and <= {mp.P_MAX} and depth >= 1 and <= "
+                          f"MAX_TERMS={mp.MAX_TERMS}, got ")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 

@@ -14,10 +14,12 @@ maps whose |f^p(c)| is drawn across the band, the hysteresis band above
 it and beyond.
 """
 
+import ast
 import contextlib
 import functools
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -73,6 +75,36 @@ def test_tolerance_order():
     assert mp.validate(f).passed
     assert f.value(-1.0) < -1.0 and f.value(1.0) < -1.0
     assert mp.iterates(f, 3) == [0.0, cv, f.value(1.0), f.value(-1.0)]
+
+
+def _number(node: ast.expr) -> bool:
+    """A number literal, or arithmetic on number literals (``2.0 ** -52``)."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.UnaryOp):
+        return _number(node.operand)
+    return (isinstance(node, ast.BinOp) and _number(node.left)
+            and _number(node.right))
+
+
+def test_number_constants_named_in_readme():
+    # a module constant set to a number is a tolerance, depth or budget
+    # that a reader of the README must be able to find
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    unnamed = []
+    for path in sorted((root / "src" / "pexpand").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            else:
+                continue
+            unnamed += [f"{path.stem}.{t.id}" for t in targets
+                        if isinstance(t, ast.Name) and _number(node.value)
+                        and not re.search(rf"\b{t.id}\b", readme)]
+    assert unnamed == []
 
 
 def test_f4_accepted_trace_keeps_its_kneading():
