@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NoPointError, OrbitRefusedError, PreconditionError
 from .maps import (MAX_TERMS, P_MAX, TOL_C, PiecewiseMap, itinerary,
-                   lambda_of, _on_branches, _pval)
+                   lambda_of, _pval)
 
 INVERSE_TOL = 1e-13
 INVERSE_MAX_ITER = 80
@@ -238,52 +238,75 @@ def verify_conjugacy(f0: PiecewiseMap, f1: PiecewiseMap,
 # word generation
 
 
-def _periodic_roots(f: PiecewiseMap, max_period: int, grid_n: int = 40001,
+def _periodic_roots(f: PiecewiseMap, max_period: int,
                     ) -> list[tuple[float, int, float]]:
-    """Solutions of f^q(x) = x, q <= max_period, by grid sign changes.
+    """Solutions of f^q(x) = x, q <= max_period, from the laps of f^q.
 
-    |Df^q| > 1 rules out tangential roots, so every root is a transversal
-    crossing of the diagonal, and the search finds them all while the laps
-    of f^q (~ lambda^-q wide) are wider than the grid step: on the full
-    tent through q = 9, but not at 10.  Three stages: bracket each q (its
-    exact grid hits and sign changes), bisect all periods' brackets in one
-    _bisect_periods call, and keep the first of any roots within 1e-9 of
-    each other in one ordered pass: q ascending, each q's hits and then its
-    brackets, each in grid order, so a point first appears at its prime
-    period.  Returns (root, prime period, enclosure), sorted by root.
-    |D(f^q - id)| >= lambda^q - 1 on a lap, whence the enclosure.
+    The laps of f^q lie between -1, 1 and c's preimages of order < q.  On
+    each f^q is monotone with |Df^q| >= lambda^q > 1, so it holds at most
+    one root (Milnor & Thurston, LNM 1342): at an end where |f^q - id| <
+    1e-13 (a hit) or inside when f^q - id changes sign across it (a
+    bracket).  f^q has at least lambda^q laps, so the search is complete up
+    to the lap budget MAX_TERMS, past which max_period is refused.  Three
+    stages: bracket each q, bisect all periods' brackets in one
+    _bisect_periods call, and keep the first of any roots within 1e-13 in
+    one ordered pass (q ascending, each q's hits and then its brackets,
+    each ascending), so a point first appears at its prime period.
+    Returns (root, prime period, enclosure), sorted by root; the enclosure
+    follows from |D(f^q - id)| >= lambda^q - 1 on a lap.
     """
-    xs = np.linspace(-1.0, 1.0, grid_n)
     lam = lambda_of(f)
+    if lam ** max_period > MAX_TERMS:
+        raise PreconditionError(
+            f"f^{max_period} has at least lambda^{max_period} = "
+            f"{lam ** max_period:.3g} laps, more than MAX_TERMS={MAX_TERMS}")
+    # ends[q - 1]: the lap ends of f^q, each order's preimages of c built
+    # from the last order's new points in the branches' image [-1, f(c)];
+    # a point that was already an end had its preimages built then
+    cv = f.critical_value
+    ends, pre = [np.array([-1.0, 0.0, 1.0])], np.zeros(1)
+    for q in range(2, max_period + 1):
+        pre = pre[pre <= cv]
+        if ends[-1].size + 2 * pre.size > MAX_TERMS:
+            raise PreconditionError(
+                f"the lap ends of f^{q} could pass MAX_TERMS={MAX_TERMS}, "
+                f"so max_period {max_period} is refused")
+        pre = np.setdiff1d([inverse_branch(f, y, s)
+                            for y in pre.tolist() for s in "LR"], ends[-1])
+        ends.append(np.union1d(ends[-1], pre))
     # Horner at |x| <= 1 errs by at most gamma_2d sum|c_j| (Higham, 5.1);
     # sum j|c_j| bounds |Df|, by which each step's error grows later
     err = max(len(c) * EPS * sum(map(abs, c)) for c in (f.left, f.right))
     lip = max(sum(j * abs(a) for j, a in enumerate(c))
               for c in (f.left, f.right))
-    # each q's exact grid hits, as brackets of width 0 and residual |g|,
-    # and its sign changes, rows lo, hi and glo = f^q(lo) - lo
+    # each q's hits, as brackets of width 0 and residual |g|, and its sign
+    # changes, rows lo, hi and glo = f^q(lo) - lo; step q of f^q is one
+    # f.value over the ends of f^max_period, which hold those of every q
     hits, brackets = [], []
-    ys = xs.copy()
-    for q in range(1, max_period + 1):
-        ys = _on_branches(f.left, f.right, ys)
-        g = ys - xs
+    ys = ends[-1]
+    for e in ends:
+        ys = f.value(ys)
+        g = ys[np.searchsorted(ends[-1], e)] - e
         h = np.flatnonzero(np.abs(g) < 1e-13)
         i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
-        hits.append(np.array((xs[h], np.zeros(h.size), np.abs(g[h]))))
-        brackets.append(np.array((xs[i], xs[i + 1], g[i])))
+        hits.append(np.array((e[h], np.zeros(h.size), np.abs(g[h]))))
+        brackets.append(np.array((e[i], e[i + 1], g[i])))
     roots: list[tuple[float, int, float]] = []   # sorted between batches
     for q, hit, found in zip(range(1, max_period + 1), hits,
                              _bisect_periods(f, brackets)):
         slack = err * sum(lip ** k for k in range(q)) + EPS
         scale = 1.0 / (lam ** q - 1.0)
         # each batch ascends, so a root only needs checking against the
-        # kept roots beside it and the last one its batch kept
+        # kept roots beside it and the last one its batch kept.  The band
+        # must exceed the spread of one point found at q and again at kq
+        # (a few ulps) and stay below the closest distinct roots (1.46e-11
+        # apart on the full tent at 19, the largest q its budget allows)
         for batch in (hit, found):
             new: list[tuple[float, int, float]] = []
             for x, w, r in zip(*batch.tolist()):
                 j = bisect.bisect_left(roots, (x,))
-                if (not new or x - new[-1][0] >= 1e-9) and all(
-                        abs(s - x) >= 1e-9
+                if (not new or x - new[-1][0] >= 1e-13) and all(
+                        abs(s - x) >= 1e-13
                         for s, _, _ in roots[max(j - 1, 0):j + 1]):
                     new.append((x, q, w + (r + slack) * scale))
             roots += new
@@ -335,9 +358,10 @@ def _bisect_periods(f: PiecewiseMap,
 
 def _periodic_points(f: PiecewiseMap, max_period: int,
                      depth: int) -> list[tuple[float, str, float]]:
-    """(point, depth-word, enclosure), one per L/R word; periods outside
-    [1, P_MAX] and depths outside [1, MAX_TERMS] are refused before any
-    orbit is walked."""
+    """(point, depth-word, enclosure), one per L/R word, from all periodic
+    points of period <= max_period (_periodic_roots, which refuses a
+    max_period past its lap budget).  Periods outside [1, P_MAX] and depths
+    outside [1, MAX_TERMS] are refused before any orbit is walked."""
     if not (1 <= max_period <= P_MAX and 1 <= depth <= MAX_TERMS):
         raise PreconditionError(
             f"max_period must be >= 1 and <= {P_MAX} and depth >= 1 and <= "

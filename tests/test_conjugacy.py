@@ -1,5 +1,6 @@
 """Realization of itineraries, conjugacy transport, and table verification."""
 
+import bisect
 import dataclasses
 import hashlib
 import json
@@ -9,6 +10,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pexpand import cli
 from pexpand import conjugacy as cj
@@ -20,6 +22,7 @@ from pexpand.errors import (NoPointError, OrbitRefusedError,
 
 import oracles
 from oracles import MP_A
+from test_properties import curved_maps
 
 A = float(MP_A)
 X_STAR = (A - 1.0) / (A + 1.0)
@@ -189,11 +192,17 @@ class TestWordsAndTable:
     def test_periodic_word_count(self, golden):
         words = cj.periodic_words(golden)
         assert len(words) == 98
-        # independent recount on a finer grid; one extra root is x = 0
-        # itself (the critical orbit is 3-periodic but its other two
-        # members are kink extrema of f^3, not sign changes)
-        roots = cj._periodic_roots(golden, 8, grid_n=80001)
-        assert len(roots) == 98 + 1
+        # the three other roots are the 3-periodic critical orbit: c, a lap
+        # end of every f^q, and the kinks f(c) and f^2(c), where f^3
+        # touches the diagonal without crossing it.  Each is a lap end, so
+        # it is found as a hit, and its word carries a C
+        roots = cj._periodic_roots(golden, 8)
+        assert len(roots) == 98 + 3
+        critical = [(r, q) for r, q, _ in roots
+                    if "C" in mp.itinerary(golden, r, q)]
+        orbit = sorted(x for x, _ in zip(golden.critical_points(), range(3)))
+        assert [q for _, q in critical] == [3, 3, 3]
+        assert [r for r, _ in critical] == pytest.approx(orbit, abs=1e-13)
 
     def test_words_shift_closed(self, golden):
         words = set(cj.periodic_words(golden, depth=60))
@@ -228,8 +237,8 @@ class TestWordsAndTable:
             # the bytes of the golden self-table from two searches
             table = (tmp_path / "o" / "table.csv").read_bytes()
             assert hashlib.sha256(table).hexdigest() == (
-                "ee097622e532bb3123a755b875986f0b"
-                "1647c69263cade67e4ac397d6e129d2e")
+                "18a85136e4250f596872ad6343d2ca61"
+                "403230784d4c212afb7b497b36a641b0")
 
     def test_cross_table(self, golden, tent):
         table = cj.ConjugacyTable.build(golden, tent, depth=60)
@@ -270,18 +279,29 @@ def _fq(f, q, x):
     return x
 
 
-def _scalar_roots(f, max_period, grid_n=40001):
-    """The root search before batching: one scalar bisection per bracket."""
-    xs = np.linspace(-1.0, 1.0, grid_n)
+def _scalar_roots(f, max_period, grid_n=None):
+    """The root search one bracket at a time: the lap ends of each f^q
+    (-1, 1 and c's preimages of order < q, each by a scalar
+    inverse_branch), or a grid of grid_n points, and one scalar bisection
+    of 60 halvings per sign change; a root within 1e-13 of an earlier one
+    is dropped."""
     roots = []
 
     def add(r, q):
-        if all(abs(seen - r) >= 1e-9 for seen, _ in roots):
+        if all(abs(seen - r) >= 1e-13 for seen, _ in roots):
             roots.append((r, q))
 
-    ys = xs.copy()
+    ends, order = {-1.0, 0.0, 1.0}, [0.0]
     for q in range(1, max_period + 1):
-        ys = mp._on_branches(f.left, f.right, ys)
+        if q > 1:
+            order = [cj.inverse_branch(f, y, side) for y in order
+                     if y <= f.critical_value for side in "LR"]
+            ends.update(order)
+        xs = (np.linspace(-1.0, 1.0, grid_n) if grid_n
+              else np.array(sorted(ends)))
+        ys = xs
+        for _ in range(q):
+            ys = mp._on_branches(f.left, f.right, ys)
         g = ys - xs
         for i in np.flatnonzero(np.abs(g) < 1e-13):
             add(float(xs[i]), q)
@@ -297,6 +317,22 @@ def _scalar_roots(f, max_period, grid_n=40001):
                     lo, glo = mid, gm
             add(0.5 * (lo + hi), q)
     return sorted(roots)
+
+
+def _golden_tent_points(max_period):
+    """Points of period <= max_period of the golden tent.  Its core
+    [f^2(c), f(c)] splits at c into I1 -> I2, I2 -> I1 u I2, so f^p has
+    trace A^p = L_p (the Lucas numbers 1, 3, 4, 7, ...) fixed points there,
+    the critical orbit counted once; Moebius inversion leaves those of
+    prime period p, and -1 is the one periodic point outside the core:
+    101 in all at 8, 5623 at 16."""
+    lucas = [2, 1]
+    while len(lucas) <= max_period:
+        lucas.append(lucas[-1] + lucas[-2])
+    prime = {}
+    for p in range(1, max_period + 1):
+        prime[p] = lucas[p] - sum(prime[d] for d in range(1, p) if p % d == 0)
+    return 1 + sum(prime.values())
 
 
 def _full_tent_points(max_period):
@@ -326,7 +362,8 @@ class TestPeriodicRoots:
         # most max_period per halving for 61 halvings, however many periods
         # there are; one call per step of every period would be sum q = 36
         # per halving at 8 (1644 in all), and bisecting the periods in
-        # groups pays max q per group (1675 at full-12, 11 026 at golden-24)
+        # groups pays max q per group (1675 at full-12, 11 026 at golden-24).
+        # The lap ends' values add max_period calls: 466, 672 and 1378 in all
         arrays = []
         real = mp.PiecewiseMap.value
         monkeypatch.setattr(
@@ -337,15 +374,48 @@ class TestPeriodicRoots:
             cj._periodic_roots(f, max_period)
             assert sum(arrays) <= 61 * max_period, max_period
 
-    @pytest.mark.parametrize("max_period", [*range(1, 10), *(
-        pytest.param(p, marks=pytest.mark.xfail(strict=True, reason=(
-            "the laps of f^q, 2^(1-q) wide, are narrower than the grid "
-            "step from q = 10 (1948 of 1966 points found at 10, 7758 of "
-            "8032 at 12); ROADMAP item 2 takes the roots from the laps")))
-        for p in (10, 12))])
+    @pytest.mark.parametrize("max_period", range(1, 17))
     def test_complete_on_full_tent(self, tent, max_period):
         roots = cj._periodic_roots(tent, max_period)
         assert len(roots) == _full_tent_points(max_period)
+
+    @pytest.mark.parametrize("max_period", range(1, 17))
+    def test_complete_on_golden_tent(self, golden, max_period):
+        roots = cj._periodic_roots(golden, max_period)
+        assert len(roots) == _golden_tent_points(max_period)
+
+    @given(curved_maps)
+    @settings(deadline=None, max_examples=6)
+    def test_complete_on_curved_maps(self, f):
+        # what a grid 20 times finer than the old search's finds, the laps
+        # find too; and no root is kept twice: by the dedupe band, a point
+        # met again at a multiple of its period would repeat its word there
+        roots = cj._periodic_roots(f, 8)
+        xs = [r for r, _, _ in roots]
+        for r, q in _scalar_roots(f, 8, grid_n=800001):
+            j = bisect.bisect_left(xs, r)
+            near = min(xs[max(j - 1, 0):j + 1], key=lambda x: abs(x - r))
+            assert abs(near - r) < 1e-12, (r, q)
+        words = [mp.itinerary(f, r, q) for r, q, _ in roots]
+        for w in words:
+            assert "C" in w or not any(
+                w == w[:d] * (len(w) // d)
+                for d in range(1, len(w)) if len(w) % d == 0), w
+        lr = [w for w in words if "C" not in w]
+        assert len(set(lr)) == len(lr)
+
+    def test_lap_ends_counted_against_the_budget(self, monkeypatch):
+        # curved_not_good's laps outgrow lambda^q = 1.05^q (f^11 has 486
+        # lap ends, lambda^11 = 1.71), so the ends are counted as each
+        # order is built: under a budget of 500, f^11's 486 are built and
+        # f^12's, which could reach 780, refused
+        monkeypatch.setattr(cj, "MAX_TERMS", 500)
+        f = mp.curved_not_good()
+        assert len(cj._periodic_roots(f, 11)) == 481
+        with pytest.raises(PreconditionError, match=(
+                r"^the lap ends of f\^12 could pass MAX_TERMS=500, so "
+                r"max_period 13 is refused$")):
+            cj._periodic_roots(f, 13)
 
     def test_enclosures_small(self, golden):
         bounds = [e for _, _, e in cj._periodic_roots(golden, 8)]
@@ -356,20 +426,20 @@ class TestPeriodicRoots:
     # On golden and curved_not_good two brackets near c reach the 60th
     # halving unconverged (at q = 3); the rest converge by then.
     @pytest.mark.parametrize("f, max_period, digest", [
-        (mp.golden_tent(), 8, "e2aca15a7e9014e9ed4cdbff2d7cf918"
-                              "2ebb4244a6296da3208643c710b14386"),
-        (mp.full_tent(), 8, "51aef5f1233902cdc43bd1f04b6c1029"
-                            "b518e6bbf9567fa7f4bb73474e0dd5d3"),
+        (mp.golden_tent(), 8, "4319b0d4eb85c1f08861fab41f7bce5e"
+                              "8147704be69af572b9db4726aa94d204"),
+        (mp.full_tent(), 8, "fef22064c5c37fae3bfab253c369af14"
+                            "1516011a8b10b9d92af712830d126611"),
         (QUARTIC, 8, "a13ad931f0cccdbae593873656bd1105"
                      "8eaa832212de2f3b6d26842f32fb39a4"),
-        (mp.curved_not_good(), 10, "58fa9fbe2a4961d8305d338c57c2952a"
-                                   "95c0c8bf59f32a35fda58e8ea6da682f"),
-        (mp.full_tent(), 12, "cee62acfd5e62c9f374a13c234e12d06"
-                             "c924f3a4f404b364ce119297f128a55f"),
-        (mp.golden_tent(), 24, "1c83d4676febb9193f34df53c7530889"
-                               "7508c88fcdc176b0be3c2e2cd6b57e1b"),
-        (mp.full_tent(), 16, "7ddfa424cd223b52e4ed32077a1dddb4"
-                             "a11ed98a638fb49aae31495c7291f8f1"),
+        (mp.curved_not_good(), 10, "5eba43ad9f89f42537df0ad8a90efb92"
+                                   "317202acce0da515a308426b1671cab3"),
+        (mp.full_tent(), 12, "898fe4970abd61e671a18c601d8f33d7"
+                             "f057d817f47c7cf6e06c0122706f1997"),
+        (mp.golden_tent(), 24, "6f8645255d3624512db488d33f764b3d"
+                               "c6a1e1a905422a1d2ae405b68449c712"),
+        (mp.full_tent(), 16, "3336fa7aebd1c649b645ebbadd384dca"
+                             "212caf7e0cf23e9b8f4bb99850ee8a56"),
     ], ids=["golden-8", "full-8", "quartic-8", "curved_not_good-10",
             "full-12", "golden-24", "full-16"])
     def test_enclosures_pinned(self, f, max_period, digest):
@@ -392,9 +462,20 @@ class TestTableCost:
                 refused.append(z)
             return z
 
-        monkeypatch.setattr(cj, "inverse_branch", counting)
-        table = cj.ConjugacyTable.build(golden, f1, 200, 8, 60)
         roots = len(cj.periodic_words(golden, 8, 60))
+        real_points = cj._periodic_points
+
+        def tree_only(*args):
+            # the lap ends of the root search are inverse solves too; only
+            # the word tree's, made after both searches, are counted
+            points = real_points(*args)
+            calls.clear()
+            refused.clear()
+            return points
+
+        monkeypatch.setattr(cj, "inverse_branch", counting)
+        monkeypatch.setattr(cj, "_periodic_points", tree_only)
+        table = cj.ConjugacyTable.build(golden, f1, 200, 8, 60)
         assert len(calls) == 2 * (len(table.entries) - roots) + len(refused)
         # -1's preimage 1 lies above f(c) = 0.618, so both children of 1
         # are c itself

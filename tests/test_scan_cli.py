@@ -793,6 +793,27 @@ def test_conjugacy_search_sizes_refused_at_once(tmp_path, capsys, payload,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("f, max_period", [("golden_tent", 40),
+                                           ("full_tent", 20)])
+def test_conjugacy_lap_budget_refused_at_once(tmp_path, capsys, f,
+                                              max_period):
+    # f^q has at least lambda^q laps, so a max_period whose lambda^q passes
+    # MAX_TERMS is refused before a lap end is built (golden refuses from
+    # 29, the full tent from 20)
+    cfg = _write_cfg(tmp_path / "c.json",
+                     {"f0": f, "f1": f, "max_period": max_period})
+    start = time.perf_counter()
+    assert cli.main(["conjugacy", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"pexpand conjugacy: f^{max_period} has at least "
+                          f"lambda^{max_period} = ")
+    assert err.endswith(f" laps, more than MAX_TERMS={mp.MAX_TERMS}\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_conjugacy_residuals_computed_once(tmp_path, monkeypatch):
     # table.csv writes the residuals the report already holds
     calls = []
@@ -887,8 +908,8 @@ _PINNED = [
     ("conjugacy", {"f0": "golden_tent", "f1": "golden_tent", "count": 20},
      {"report.json": "33c6b1244a9a88b7b99bdf3eaec96e0e"
                      "03ccca34bdfa3f6cf00891f01b682a3b",
-      "table.csv": "2a73eb7324ed4448b901b4a0e5b7695b"
-                   "e25795741fd6c0b5436c8816d99b6d88"}),
+      "table.csv": "23dcd6ad5ec7f81fa1218e3d69f767f0"
+                   "cea001d8bad006d6b950a3c770926297"}),
     # J(full tent, odd) = 0; w is the first transversal dictionary entry
     ("cor51", {"map": "full_tent", "v": "odd"},
      {"summary.json": "ef0d7d4f9d41768b11a024660361f7a1"
