@@ -145,6 +145,12 @@ def _stationary(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
     return [r for r in roots if lo < r < hi]
 
 
+def _sup_abs(p: tuple[float, ...], lo: float, hi: float) -> float:
+    """sup |p| over [lo, hi], exact: taken at the ends and p's stationary
+    points."""
+    return max(abs(_pval(p, x)) for x in (lo, hi, *_stationary(p, lo, hi)))
+
+
 @lru_cache(maxsize=1)
 def _eigen_roots(dc: tuple[float, ...]) -> tuple[float, ...]:
     """Real roots of dc: its companion matrix's eigenvalues (numpy's polyroots
@@ -311,38 +317,36 @@ def validate(f: PiecewiseMap) -> ValidationReport:
     return _validate(f.left, f.right)
 
 
+def _fixed_checks(left: tuple[float, ...], right: tuple[float, ...]):
+    """validate's two cheap checks: boundary_fixed and critical_value."""
+    fm1, fp1 = float(_pval(left, -1.0)), float(_pval(right, 1.0))
+    ok = abs(fm1 + 1.0) <= ENDPOINT_TOL and abs(fp1 + 1.0) <= ENDPOINT_TOL
+    cv = left[0]
+    ok_c = cv <= 1.0 + BOUNDARY_SLACK
+    return (ValidationCheck(
+        "boundary_fixed", ok, "f(-1)={!r}, f(1)={!r}", (fm1, fp1),
+        None if ok else (-1.0 if abs(fm1 + 1) > ENDPOINT_TOL else 1.0)),
+        ValidationCheck("critical_value", ok_c, "f(0)={!r}", (cv,),
+                        None if ok_c else 0.0))
+
+
 @lru_cache(maxsize=4096)
 def _validate(left: tuple[float, ...],
               right: tuple[float, ...]) -> ValidationReport:
     """validate's report, cached on the branches so no map is kept alive."""
-    checks = []
-
-    fm1, fp1 = float(_pval(left, -1.0)), float(_pval(right, 1.0))
-    ok = abs(fm1 + 1.0) <= ENDPOINT_TOL and abs(fp1 + 1.0) <= ENDPOINT_TOL
-    checks.append(ValidationCheck(
-        "boundary_fixed", ok, "f(-1)={!r}, f(1)={!r}", (fm1, fp1),
-        None if ok else (-1.0 if abs(fm1 + 1) > ENDPOINT_TOL else 1.0)))
-
+    boundary, critical = _fixed_checks(left, right)
     lo_l, _hi_l, w_l, _ = _certified_range(_der(left, 1), -1.0, 0.0)
     _lo_r, hi_r, _, w_r = _certified_range(_der(right, 1), 0.0, 1.0)
     ok_l = lo_l > 1.0
-    checks.append(ValidationCheck(
-        "expansion_left", ok_l, "certified min Df on [-1,0] = {!r}", (lo_l,),
-        None if ok_l else w_l))
-
     ok_r = hi_r < -1.0
-    checks.append(ValidationCheck(
+    checks = (boundary, ValidationCheck(
+        "expansion_left", ok_l, "certified min Df on [-1,0] = {!r}", (lo_l,),
+        None if ok_l else w_l), ValidationCheck(
         "expansion_right", ok_r, "certified max Df on [0,1] = {!r}", (hi_r,),
-        None if ok_r else w_r))
-
-    cv = left[0]
-    ok_c = cv <= 1.0 + BOUNDARY_SLACK
-    checks.append(ValidationCheck(
-        "critical_value", ok_c, "f(0)={!r}", (cv,), None if ok_c else 0.0))
-
-    passed = ok and ok_l and ok_r and ok_c
+        None if ok_r else w_r), critical)
+    passed = boundary.passed and ok_l and ok_r and critical.passed
     lam = min(lo_l, -hi_r) if passed else None
-    return ValidationReport(passed, tuple(checks), lam, cv)
+    return ValidationReport(passed, checks, lam, left[0])
 
 
 def require_valid(f: PiecewiseMap) -> ValidationReport:
@@ -653,10 +657,9 @@ class DirectionField:
         sup exact: taken at the branch ends and D^m v's stationary points.
         D^m v is 0 above the branches' degree, so no higher m is read."""
         top = min(order, max(len(self.left), len(self.right)) - 1)
-        return float(max(abs(_pval(d, x)) for c, lo, hi in (
+        return float(max(_sup_abs(_der(c, m), lo, hi) for c, lo, hi in (
             (self.left, -1.0, 0.0), (self.right, 0.0, 1.0))
-            for d in (_der(c, m) for m in range(top + 1))
-            for x in (lo, hi, *_stationary(d, lo, hi))))
+            for m in range(top + 1)))
 
     @cached_property
     def _sup(self) -> float:
@@ -723,9 +726,10 @@ class MapFamily:
     must not run ``term.scalar``, whose powers can overflow), v_t as one
     DirectionField with its sup norm cached, per tuple of term scalars
     s_m'(t): v_t reads nothing else, so a linear family builds it once.
-    The memo is the instance's, not its value's: families equal under
-    ``==`` can differ by a signed zero.  Each store empties at MEMO_SIZE
-    entries.
+    It also keeps, per field w, the radius of the expansion box that lets
+    ``family_eval`` skip validate.  The memo is the instance's, not its
+    value's: families equal under ``==`` can differ by a signed zero.  Each
+    store empties at MEMO_SIZE entries.
     """
 
     base: PiecewiseMap
@@ -736,6 +740,7 @@ class MapFamily:
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "_chains", {})
         object.__setattr__(self, "_velocities", {})
+        object.__setattr__(self, "_boxes", {})
         lo, hi = self.domain
         if not (lo < hi and math.isfinite(hi - lo)):
             raise ValueError("parameter domain must be a finite interval")
@@ -785,18 +790,66 @@ def _velocity(F: MapFamily, scalars: tuple[float, ...]) -> DirectionField:
     return DirectionField(left, right)
 
 
+def _expansion_box(F: MapFamily, w: DirectionField | None) -> float:
+    """Radius Theta such that every f_t + theta*w that family_eval builds,
+    t in F.domain and |theta| <= Theta, passes validate's expansion checks;
+    -inf, which accepts nothing, when none can be certified.
+
+    On a branch Dg = Df_0 + sum_m s_m(t) Dfield_m + theta Dw (Moore,
+    Kearfott & Cloud, 2009), so validate's bound stays past 1 while the
+    base's certified margin exceeds sum_m S_m sup|Dfield_m| + Theta sup|Dw|
+    + pad, S_m >= |s_m(t)| on the domain and each sup exact, rounded up.
+    pad = kappa u sum_i i C_i, C_i = |f0_i| + sum_m S_m |field_m,i| + Theta
+    |w_i|, covers the assembly's roundings, _der's and validate's Horner
+    error counted twice (Higham, 2.2 and 5.1); kappa is over 30 times what
+    they need, so it covers this sum's own roundings too.
+    """
+    try:
+        r = float(max(map(abs, F.domain)))
+        bounds = [math.nextafter(float(sum(r ** p for p in term.t_powers)),
+                                 math.inf) for term in F.terms]
+    except OverflowError:
+        return -math.inf
+    kappa = 64 * (len(F.terms) + 2) * (2 * D_MAX + 2) * 2.0**-53
+
+    def load(g, side: int, lo: float, hi: float) -> float:
+        """sup |Dg| on the branch, rounded up, plus g's share of the pad."""
+        dc = _der((g.left, g.right)[side], 1)
+        return (math.nextafter(_sup_abs(dc, lo, hi), math.inf)
+                + kappa * sum(map(abs, dc)))
+
+    w = ZERO_FIELD if w is None else w
+    radius = math.inf
+    for side, lo, hi in ((0, -1.0, 0.0), (1, 0.0, 1.0)):
+        dc = (F.base.dleft, F.base.dright)[side]
+        v_min, v_max, _, _ = _certified_range(dc, lo, hi)
+        margin = ((v_min - 1.0 if side == 0 else -1.0 - v_max)
+                  - kappa * sum(map(abs, dc))
+                  - sum(s * load(term.field, side, lo, hi)
+                        for term, s in zip(F.terms, bounds)))
+        if not 0.0 < margin < math.inf:
+            return -math.inf
+        # load > 0, as it is rounded up: a zero w gives an infinite radius
+        radius = min(radius, margin / load(w, side, lo, hi))
+    return radius
+
+
 def family_eval(F: MapFamily, t: float, check: bool = True,
                 w: DirectionField | None = None,
                 theta: float = 0.0) -> PiecewiseMap:
-    """Assemble f_t (+ theta*w given w) exactly; optionally validate (errors
-    carry the report).  Bit for bit a chain of ``add_scaled`` over nonzero
-    scalars, with a map's checks on each partial sum, but one map is built."""
+    """Assemble f_t (+ theta*w given w) exactly; optionally check it, with
+    validate's verdict (errors carry the report).  Bit for bit a chain of
+    ``add_scaled`` over nonzero scalars, with a map's checks on each partial
+    sum, but one map is built.  Inside F's expansion box for w (memoized
+    per w) only validate's two cheap checks run; elsewhere, or when either
+    fails, ``require_valid`` does."""
     _in_domain(F, t)
     left, right = _memo(F._chains, (type(t), t), _chain, F, t)
     if w is not None and theta != 0.0:
         left, right = _axpy(left, theta, w.left), _axpy(right, theta, w.right)
     f = PiecewiseMap(left, right, F.base.k)
-    if check:
+    if check and not (abs(theta) <= _memo(F._boxes, w, _expansion_box, F, w)
+                      and all(c.passed for c in _fixed_checks(left, right))):
         require_valid(f)
     return f
 

@@ -175,6 +175,33 @@ class TestEvaluationBudget:
             else:
                 assert distinct < mp.MEMO_SIZE and len(builds) == distinct
 
+    @pytest.mark.parametrize("family, maps, misses", [
+        (pure_w_family(), 441, 1),    # periodic pairs: only f0's is_good
+        (series_family(), 67, 67),    # every slope reads its map's lambda_f
+    ])
+    def test_validate_runs_where_lambda_is_read(self, monkeypatch, family,
+                                                maps, misses):
+        # the expansion box covers every assembled map, so validate runs on
+        # the series-pair slopes' maps and the base map's is_good only
+        read, built = set(), set()
+        real_series, real_good, real_eval = (df.j_series_sum, df.is_good,
+                                             df.family_eval)
+
+        def assembled(*args, **kwargs):
+            g = real_eval(*args, **kwargs)
+            built.add((g.left, g.right))
+            return g
+
+        monkeypatch.setattr(df, "j_series_sum", lambda g, v: read.add(
+            (g.left, g.right)) or real_series(g, v))
+        monkeypatch.setattr(df, "is_good", lambda g: read.add(
+            (g.left, g.right)) or real_good(g))
+        monkeypatch.setattr(df, "family_eval", assembled)
+        mp._validate.cache_clear()
+        tr = df.integrate_deformation(family, bump_field())
+        assert tr.truncated == () and len(built) == maps
+        assert mp._validate.cache_info().misses == len(read) == misses
+
     def test_fixed_steps_reuse_k1(self, monkeypatch):
         calls = []
         real = df.slope_field

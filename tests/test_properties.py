@@ -289,6 +289,12 @@ OVERFLOW_FIRST = (mp.MapFamily(
            mp.FamilyTerm(mp.odd_field(), (3,))), (-1e154, 1e154)), 1e154)
 
 
+# t**3 overflows at the domain's ends but not at t: f_t assembles and
+# validates, while its expansion box cannot be certified
+OVERFLOW_BOX = (mp.MapFamily(
+    TENT, (mp.FamilyTerm(mp.odd_field(), (3,)),), (-1e154, 1e154)), 0.01)
+
+
 # equal under == (0.0 == -0.0) and hashed alike, yet f_t and v_t differ in
 # the sign of their x^2 coefficient: a memo keyed by value would hand the
 # second family the first one's bits
@@ -306,6 +312,7 @@ class TestAssemblyBits:
     @example(OVERFLOW_FIRST, mp.bump_field(), 0.5)
     @example(SIGNED_ZERO_TWINS[0], mp.odd_field(), 0.5)
     @example(SIGNED_ZERO_TWINS[1], mp.odd_field(), 0.5)
+    @example(OVERFLOW_BOX, mp.bump_field(), -0.25)
     @settings(deadline=None, max_examples=300)
     def test_family_assembly(self, ft, w, theta):
         F, t = ft
@@ -339,6 +346,72 @@ class TestAssemblyBits:
         for a, b in ((u, d), (d, u), (d, e), (d, d.scale(-1.0))):
             assert outcome(lambda: a.add(b)) == outcome(
                 lambda: ref_field_add(a, b))
+
+
+@st.composite
+def thin_families(draw):
+    """Tents of slope 1 + delta, delta from below the box's pad up, with 0-2
+    proper-field terms on a domain where they take a drawn share of delta:
+    families whose expansion box is thin or refused, and a t in the domain."""
+    delta = 2.0 ** draw(st.floats(-44.0, -1.0))
+    terms = tuple(draw(st.lists(st.builds(
+        mp.FamilyTerm, proper_fields(),
+        st.sampled_from([(1,), (2,), (1, 3)])), max_size=2)))
+    weight = 1.0 + sum(len(m.t_powers) * m.field.c_norm(1) for m in terms)
+    half = delta * draw(st.floats(1e-9, 1.0)) / weight
+    t = draw(st.one_of(st.sampled_from([0.0, half, -half]),
+                       st.floats(-1.0, 1.0).map(lambda u: u * half)))
+    return mp.MapFamily(mp.symmetric_tent(1.0 + delta), terms,
+                        (-half, half)), t
+
+
+class TestExpansionBox:
+    """family_eval skips validate inside a family's expansion box: every
+    map the box accepts passes validate, and every verdict is validate's."""
+
+    @given(thin_families(), st.one_of(st.just(mp.bump_field()),
+                                      proper_fields()),
+           st.integers(1, 60), st.sampled_from([-1.0, 1.0]))
+    @settings(deadline=None, max_examples=300)
+    def test_verdicts_at_the_edge(self, ft, w, k, sign):
+        F, t = ft
+        box = mp._expansion_box(F, w)
+        edge = ((box * (1.0 - 2.0**-k), box * (1.0 + 2.0**-k))
+                if 0.0 < box < math.inf else (2.0**-k,))
+        for theta in (sign * x for x in edge):
+            assert outcome(lambda: mp.family_eval(F, t, True, w, theta)) == \
+                   outcome(lambda: ref_family_eval(F, t, w, theta))
+            g = mp.family_eval(F, t, False, w, theta)
+            if abs(theta) <= box and all(
+                    c.passed for c in mp._fixed_checks(g.left, g.right)):
+                assert mp.validate(g).passed
+
+    def test_margin_below_the_pad_is_refused(self):
+        # slope 1 + 5e-13 is certified exactly (a tent's Df is constant) and
+        # the odd term moves Df by at most 2e-15, but the pad is about
+        # 7.3e-13: the box accepts nothing and validate decides each map
+        F = mp.MapFamily(mp.symmetric_tent(1.0 + 5e-13),
+                         (mp.FamilyTerm(mp.odd_field()),), (-1e-15, 1e-15))
+        w = mp.bump_field()
+        assert mp._expansion_box(F, None) == mp._expansion_box(F, w) \
+            == -math.inf
+        for t, theta in ((1e-15, 0.0), (-1e-15, 1e-14), (1e-15, -3e-13)):
+            mp._validate.cache_clear()
+            got = outcome(lambda: mp.family_eval(F, t, True, w, theta))
+            assert mp._validate.cache_info().misses == 1
+            assert got == outcome(lambda: ref_family_eval(F, t, w, theta))
+        # the last one dips below slope 1 at x = -1
+        with pytest.raises(mp.InvalidMapError, match="expansion_left"):
+            mp.family_eval(F, 1e-15, w=w, theta=-3e-13)
+
+    def test_overflowing_scalar_bound_is_refused(self):
+        # t**3 overflows at the domain's ends: no box, and no error raised
+        F, t = OVERFLOW_BOX
+        assert mp._expansion_box(F, mp.bump_field()) == -math.inf
+        mp._validate.cache_clear()
+        g = mp.family_eval(F, t, w=mp.bump_field(), theta=-0.25)
+        assert mp._validate.cache_info().misses == 1
+        assert mp.validate(g).passed
 
 
 class TestJFunctional:
