@@ -145,12 +145,6 @@ def _stationary(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
     return [r for r in roots if lo < r < hi]
 
 
-def _sup_abs(p: tuple[float, ...], lo: float, hi: float) -> float:
-    """sup |p| over [lo, hi], exact: taken at the ends and p's stationary
-    points."""
-    return max(abs(_pval(p, x)) for x in (lo, hi, *_stationary(p, lo, hi)))
-
-
 @lru_cache(maxsize=1)
 def _eigen_roots(dc: tuple[float, ...]) -> tuple[float, ...]:
     """Real roots of dc: its companion matrix's eigenvalues (numpy's polyroots
@@ -657,9 +651,10 @@ class DirectionField:
         sup exact: taken at the branch ends and D^m v's stationary points.
         D^m v is 0 above the branches' degree, so no higher m is read."""
         top = min(order, max(len(self.left), len(self.right)) - 1)
-        return float(max(_sup_abs(_der(c, m), lo, hi) for c, lo, hi in (
+        return float(max(abs(_pval(d, x)) for c, lo, hi in (
             (self.left, -1.0, 0.0), (self.right, 0.0, 1.0))
-            for m in range(top + 1)))
+            for d in (_der(c, m) for m in range(top + 1))
+            for x in (lo, hi, *_stationary(d, lo, hi))))
 
     @cached_property
     def _sup(self) -> float:
@@ -815,8 +810,9 @@ def _expansion_box(F: MapFamily, w: DirectionField | None) -> float:
     def load(g, side: int, lo: float, hi: float) -> float:
         """sup |Dg| on the branch, rounded up, plus g's share of the pad."""
         dc = _der((g.left, g.right)[side], 1)
-        return (math.nextafter(_sup_abs(dc, lo, hi), math.inf)
-                + kappa * sum(map(abs, dc)))
+        sup = max(abs(_pval(dc, x))
+                  for x in (lo, hi, *_stationary(dc, lo, hi)))
+        return math.nextafter(sup, math.inf) + kappa * sum(map(abs, dc))
 
     w = ZERO_FIELD if w is None else w
     radius = math.inf
@@ -829,8 +825,13 @@ def _expansion_box(F: MapFamily, w: DirectionField | None) -> float:
                         for term, s in zip(F.terms, bounds)))
         if not 0.0 < margin < math.inf:
             return -math.inf
-        # load > 0, as it is rounded up: a zero w gives an infinite radius
-        radius = min(radius, margin / load(w, side, lo, hi))
+        # load > 0, as it is rounded up: a zero w gives an infinite radius.
+        # A NaN sup|Dw| (Horner on a non-finite Dw) gives a NaN quotient,
+        # which min would drop.
+        q = margin / load(w, side, lo, hi)
+        if not q >= 0.0:
+            return -math.inf
+        radius = min(radius, q)
     return radius
 
 

@@ -413,6 +413,18 @@ class TestExpansionBox:
         assert mp._validate.cache_info().misses == 1
         assert mp.validate(g).passed
 
+    def test_field_with_a_nan_sup_is_refused(self):
+        # w's right derivative is (1e308, -inf): Horner at x = 0 reads
+        # 1e308 + (-inf)*0 = nan, so sup|Dw| is nan.  No radius follows,
+        # and validate rejects the map, whose Df(0) on the right is -0.5
+        F = mp.MapFamily(mp.symmetric_tent(1.5), (), (-0.01, 0.01))
+        w = mp.DirectionField((0.0,), (0.0, 1e308, -1e308))
+        assert mp._expansion_box(F, w) == -math.inf
+        got = outcome(lambda: mp.family_eval(F, 0.0, w=w, theta=1e-308))
+        assert got == outcome(lambda: ref_family_eval(F, 0.0, w, 1e-308))
+        with pytest.raises(mp.InvalidMapError, match="expansion_right"):
+            mp.family_eval(F, 0.0, w=w, theta=1e-308)
+
 
 class TestJFunctional:
     @given(slopes, fields, fields, weights)
