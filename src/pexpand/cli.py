@@ -87,7 +87,7 @@ def _cmd_alpha(cfg, args):
     sol = _functional.alpha(f, v)
     rep = _functional.check_twisted_cohomology(
         f, v, sol, **_given({"n": args.grid}, cfg))
-    hz = _functional.horizontality(f, v)
+    hz = _functional.horizontality(f, v, rep)
     return {
         "alpha.csv": (("x", "alpha"),
                       zip(rep.points.tolist(), rep.alpha.tolist())),

@@ -190,10 +190,6 @@ class DeformationTrace:
     def ts(self) -> tuple[float, ...]:
         return tuple(n.t for n in self.nodes)
 
-    @property
-    def bs(self) -> tuple[float, ...]:
-        return tuple(n.b for n in self.nodes)
-
     def node_at(self, t: float) -> TraceNode:
         return _node_at(self.nodes, t)
 

@@ -242,10 +242,16 @@ def uniform_grid(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CohomologyReport:
+    """What ``check_twisted_cohomology`` found, and the alpha it evaluated:
+    ``sol``, with its value at f(c) (``alpha_at_fc``) from the same call as
+    the grid's, which ``horizontality`` can take in place of its own."""
+
     max_residual: float
     argmax: float
     points: np.ndarray  # the grid points kept, outside the critical band
     alpha: np.ndarray   # alpha at those points
+    alpha_at_fc: float
+    sol: AlphaSolution
 
     @property
     def n_points(self) -> int:
@@ -260,16 +266,21 @@ def check_twisted_cohomology(f: PiecewiseMap, v: DirectionField,
 
     Grid points inside the critical band are dropped (Df is one-sided there
     and alpha is pinned to 0 by convention); the ends -1 and 1 always stay.
-    The report carries the points kept and alpha at each of them.
+    alpha is evaluated once, over the points kept, their images and f(c):
+    each point's orbit is its own, so its bits do not depend on the others.
+    The report carries the points kept, alpha at each of them and at f(c),
+    and ``sol``.
     """
     if sol is None:
         sol = alpha(f, v)
     xs = uniform_grid(n)
     xs = xs[np.abs(xs) >= TOL_C]
-    a = sol.value(xs)
-    r = np.abs(v.value(xs) - sol.value(f.value(xs)) + f.deriv(xs) * a)
+    m = xs.size
+    a = sol.value(np.concatenate((xs, f.value(xs), [f.critical_value])))
+    r = np.abs(v.value(xs) - a[m:-1] + f.deriv(xs) * a[:m])
     i = int(np.argmax(r))
-    return CohomologyReport(float(r[i]), float(xs[i]), xs, a)
+    return CohomologyReport(float(r[i]), float(xs[i]), xs, a[:m],
+                            float(a[-1]), sol)
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +296,32 @@ class HorizontalityResult:
     identity_gap: float
 
 
-def horizontality(f: PiecewiseMap, v: DirectionField) -> HorizontalityResult:
+def horizontality(f: PiecewiseMap, v: DirectionField,
+                  cohomology: CohomologyReport | None = None,
+                  ) -> HorizontalityResult:
     """Decide |J(f, v)| <= HORIZONTAL_TOL via the series and via
     v(c) = alpha(f(c)), both within J_TOL.
 
     The two routes share no code path beyond orbit evaluation, so their
     agreement is used as a live internal-consistency check: disagreement
     beyond the combined certified error margins raises.
+
+    alpha(f(c)) is read from ``cohomology`` when given, which must have been
+    checked with an ``alpha(f, v, tol=J_TOL)``; any other report is refused.
+    Without it, alpha(f(c)) walks its own one-point orbit, to the same bits.
     """
+    if cohomology is not None:
+        sol = cohomology.sol
+        if not isinstance(sol, AlphaSolution) or (
+                (sol.f, sol.v, sol.tol) != (f, v, J_TOL)):
+            raise PreconditionError(
+                "cohomology report was not checked with alpha of this map "
+                f"and field at tol J_TOL={J_TOL!r}")
     j = j_functional(f, v)
     jv = j.require_value()
     v_c = v.value(0.0)
-    sol = alpha(f, v, tol=J_TOL)
-    a_fc = sol.value(f.critical_value)
+    a_fc = (alpha(f, v, tol=J_TOL).value(f.critical_value)
+            if cohomology is None else cohomology.alpha_at_fc)
     gap = abs(jv - (v_c - a_fc))
     allowed = 10.0 * (j.tail_bound + J_TOL) + 1e-10
     if gap > allowed:

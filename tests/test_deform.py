@@ -302,7 +302,7 @@ class TestIntegrateDeformation:
         def d2(h):
             tr = df.integrate_deformation(transversal_family(), odd_field(),
                                           h0=h, adaptive=False)
-            b, t = tr.bs, tr.ts
+            b, t = tuple(n.b for n in tr.nodes), tr.ts
             return max(abs(b[i + 1] - 2.0 * b[i] + b[i - 1]) / h ** 2
                        for i in range(1, len(b) - 1))
         coarse, fine = d2(2e-3), d2(5e-4)

@@ -225,6 +225,22 @@ class TestHorizontality:
         with pytest.raises(InternalConsistencyError):
             fn.horizontality(golden_tent(), bump_field())
 
+    def test_report_gives_the_bits_of_its_own_walk(self):
+        f, v = curved_not_good(), odd_field()
+        rep = fn.check_twisted_cohomology(f, v, fn.alpha(f, v, fn.J_TOL))
+        assert fn.horizontality(f, v, rep) == fn.horizontality(f, v)
+
+    @pytest.mark.parametrize("other", ["map", "field", "tol"])
+    def test_report_for_another_case_refused(self, other):
+        f, v = golden_tent(), bump_field()
+        g = full_tent() if other == "map" else f
+        w = odd_field() if other == "field" else v
+        tol = 1e-10 if other == "tol" else fn.J_TOL
+        rep = fn.check_twisted_cohomology(g, w, fn.alpha(g, w, tol))
+        with pytest.raises(PreconditionError, match="tol J_TOL") as err:
+            fn.horizontality(f, v, rep)
+        assert "\n" not in str(err.value)
+
 
 class TestParamPhase:
     def golden_family(self):

@@ -547,6 +547,21 @@ class TestCurvedOrbits:
         assert _hex(sol.value(np.array(xs))) == _hex(want)
         assert _hex([sol.value(x) for x in xs]) == _hex(want)
 
+    @given(st.one_of(st.sampled_from([GOLDEN, TENT]),
+                     bent_maps().filter(lambda f: mp.validate(f).passed)),
+           proper_fields(), st.lists(points, max_size=6))
+    @settings(deadline=None, max_examples=60)
+    def test_alpha_merged_call_keeps_each_points_bits(self, f, v, drawn):
+        # the grid, its image and f(c) in one call, as check_twisted_cohomology
+        # makes it: each element's orbit and stop are its own
+        sol = fn.alpha(f, v)
+        a = np.array([-1.0, 1.0, 0.5 * mp.TOL_C, *drawn])
+        b = f.value(a)
+        x = f.critical_value
+        merged = sol.value(np.concatenate((a, b, [x])))
+        assert _hex(merged) == (_hex(sol.value(a)) + _hex(sol.value(b))
+                                + _hex(sol.value(float(x))))
+
     @given(curved_maps, fields)
     @settings(deadline=None, max_examples=20)
     def test_j_against_mp_series(self, f, v):

@@ -931,6 +931,29 @@ def test_emitted_bytes_pinned(tmp_path, cmd, payload, digests):
             "newton", "bisection"}
 
 
+# full_tent + bump: f(c)'s orbit never returns to c, so its walk takes the
+# whole n_max = 40 steps
+@pytest.mark.parametrize("m, field", [("golden_tent", "bump"),
+                                      ("full_tent", "bump"),
+                                      ("curved_not_good", "odd")])
+def test_alpha_walks_one_orbit(tmp_path, monkeypatch, m, field):
+    calls = []
+    value = fn.AlphaSolution.value
+
+    def counted(self, x):
+        calls.append(x)
+        return value(self, x)
+
+    monkeypatch.setattr(fn.AlphaSolution, "value", counted)
+    cfg = _write_cfg(tmp_path / "c.json", {"map": m, "field": field})
+    assert cli.main(["alpha", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+    summ = json.loads((tmp_path / "o" / "summary.json").read_text())
+    hz = fn.horizontality(pio.parse_map(m), pio.parse_field(field))
+    assert summ["identity_gap"].hex() == hz.identity_gap.hex()
+    assert summ["horizontal"] is hz.horizontal
+
+
 def test_scan_refuses_tol(tmp_path, capsys):
     # one band decides periodicity and relations, so scan has no tolerance
     # to override and refuses --tol, even a valid one
